@@ -4,7 +4,7 @@
 //! pipelined keep-alive connections, whether or not earlier responses
 //! have come back — then reports offered vs achieved rate, latency
 //! percentiles from a coordinated-omission-safe histogram, cache and
-//! coalescing behaviour as `BENCH_serve.json`.
+//! coalescing behaviour as `target/bench/BENCH_serve.json`.
 //!
 //! ```text
 //! cargo run -p hms-bench --release --bin bench_serve [-- test|gate]
@@ -324,8 +324,7 @@ fn main() {
         ("recovery_ms".into(), Json::Num(recovery_ms)),
     ])
     .encode_pretty();
-    std::fs::write("BENCH_serve.json", &json).expect("writes BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
+    hms_bench::write_bench_json("BENCH_serve.json", &json);
 }
 
 /// One nonblocking pipelined connection of the load generator.

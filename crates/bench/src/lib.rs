@@ -2,7 +2,8 @@
 //!
 //! The experiment harness: everything needed to regenerate every table
 //! and figure of the paper's evaluation (see DESIGN.md's experiment
-//! index), plus Criterion microbenchmarks of the substrates.
+//! index), plus the benchmark gates `scripts/ci.sh` runs
+//! (`bench_search`, `bench_anytime`, `bench_serve`).
 //!
 //! * [`suite`] — the benchmark/placement suites of Table IV: each
 //!   kernel's *sample* placement and its placement tests, split into the
@@ -36,3 +37,18 @@ pub use mining::{mine_events, mine_events_paper, MinedEvent, PlacementStudy};
 pub use runner::{measure, run_suite, trained_predictor, ExperimentResult, Harness};
 pub use suite::{evaluation_suite, training_suite, PlacementTest};
 pub use table::Table;
+
+/// Where the benchmark gates write their results: `target/bench/`
+/// under the working directory, so a run never overwrites the committed
+/// `BENCH_*.json` baseline it is compared against.
+const BENCH_OUT_DIR: &str = "target/bench";
+
+/// Write one benchmark result as `BENCH_OUT_DIR/<name>` and print the
+/// path. Panics on I/O failure: a gate that cannot record its result
+/// must not pass.
+pub fn write_bench_json(name: &str, json: &str) {
+    std::fs::create_dir_all(BENCH_OUT_DIR).expect("creates the bench output directory");
+    let path = std::path::Path::new(BENCH_OUT_DIR).join(name);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("writes {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}

@@ -49,11 +49,9 @@ pub use engine::{Engine, EngineStats};
 pub use predictor::{ModelOptions, Prediction, Predictor, QueuingMode};
 pub use profile::{profile_sample, Profile};
 pub use search::{
-    enumerate_placements, rank_placements, rank_placements_naive, search, RankedPlacement,
-    SearchOutcome, SearchRequest, SearchStrategy,
+    enumerate_placements, rank_placements_naive, RankedPlacement, SearchOutcome, SearchRequest,
+    SearchStrategy,
 };
-#[allow(deprecated)]
-pub use search::{exhaustive_search, rank_placements_threads};
 pub use sensitivity::{stability, sweep, Knob, SensitivityReport};
 pub use skelcache::{CacheFs, RealFs};
 pub use toverlap::ToverlapModel;

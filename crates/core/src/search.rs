@@ -9,8 +9,9 @@
 //! delta composition instead of a full trace rewrite.
 //!
 //! The entry point is [`SearchRequest`]: name the search space, pick a
-//! [`SearchStrategy`], and [`search`] returns a [`SearchOutcome`] with
-//! the ranking plus the engine's observability counters.
+//! [`SearchStrategy`], and [`SearchRequest::run`] returns a
+//! [`SearchOutcome`] with the ranking plus the engine's observability
+//! counters.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -181,8 +182,7 @@ impl SearchStrategy {
     }
 }
 
-/// A named-field description of one placement search. Replaces the old
-/// eight-positional-argument [`exhaustive_search`] call.
+/// A named-field description of one placement search.
 ///
 /// ```ignore
 /// let outcome = SearchRequest::new(&kt.arrays, &base)
@@ -367,9 +367,112 @@ impl<'a> SearchRequest<'a> {
         Ok(())
     }
 
-    /// Run the search. Equivalent to `search(predictor, profile, &self)`.
+    /// Execute the search through the incremental [`Engine`].
     pub fn run(&self, predictor: &Predictor, profile: &Profile) -> Result<SearchOutcome, HmsError> {
-        search(predictor, profile, self)
+        self.validate()?;
+        profile.validate(&predictor.cfg)?;
+        let mut engine = Engine::new(predictor, profile);
+        if let Some(dir) = &self.skeleton_cache {
+            engine = match &self.cache_fs {
+                Some(fs) => engine.with_disk_cache_fs(dir, Arc::clone(fs)),
+                None => engine.with_disk_cache(dir),
+            };
+        }
+        engine.set_lane_width(self.lane_width);
+        let (ranked, partial, gap) = match self.strategy {
+            SearchStrategy::Exhaustive => {
+                let t0 = Instant::now();
+                let space = enumerate_placements(
+                    self.arrays,
+                    self.base,
+                    &self.candidates,
+                    &predictor.cfg,
+                    self.limit,
+                );
+                engine.counters.add(
+                    &engine.counters.enumerate_nanos,
+                    t0.elapsed().as_nanos() as u64,
+                );
+                engine
+                    .counters
+                    .add(&engine.counters.candidates_enumerated, space.len() as u64);
+                if !self.interruptible() {
+                    // No deadline and no cancel flag: the single-batch
+                    // path, untouched — this is the byte/bit-identity
+                    // baseline.
+                    (engine.rank(&space, self.threads)?, false, 0.0)
+                } else {
+                    // Evaluate in the same deterministic BB_BATCH chunks
+                    // the branch-and-bound path uses, checking the clock
+                    // (and the cancel flag) only between chunks so each
+                    // prediction inside a chunk is computed exactly as
+                    // in the uninterrupted run.
+                    let mut ranked = Vec::with_capacity(space.len());
+                    let mut partial = false;
+                    let mut cut_at = space.len();
+                    for (i, chunk) in space.chunks(BB_BATCH).enumerate() {
+                        if self.interrupted() && !ranked.is_empty() {
+                            partial = true;
+                            cut_at = i * BB_BATCH;
+                            break;
+                        }
+                        ranked.extend(engine.evaluate_batch(chunk, self.threads)?);
+                    }
+                    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
+                    // A deadline-cut exhaustive run is no longer exact:
+                    // bound the gap by the cheapest unevaluated
+                    // candidate's lower bound.
+                    let gap = if partial {
+                        let mut floor = crate::strategies::space_floor(
+                            &engine,
+                            self,
+                            space[cut_at..].iter(),
+                            space.len() >= self.limit,
+                        );
+                        if let Some(best) = ranked.first() {
+                            floor = floor.min(best.predicted_cycles);
+                        }
+                        crate::strategies::gap_from_floor(
+                            ranked.first().map(|r| r.predicted_cycles),
+                            floor,
+                        )
+                    } else {
+                        0.0
+                    };
+                    (ranked, partial, gap)
+                }
+            }
+            SearchStrategy::BranchAndBound => {
+                let (ranked, partial) = branch_and_bound(&engine, self)?;
+                // Complete branch-and-bound is exact (gap 0); a deadline cut
+                // leaves unexplored subtrees whose bounds were never
+                // visited, so fall back to the all-free floor.
+                let gap = if partial {
+                    let floor = crate::strategies::all_free_floor(&engine, self)
+                        .min(ranked.first().map_or(f64::INFINITY, |r| r.predicted_cycles));
+                    crate::strategies::gap_from_floor(
+                        ranked.first().map(|r| r.predicted_cycles),
+                        floor,
+                    )
+                } else {
+                    0.0
+                };
+                (ranked, partial, gap)
+            }
+            SearchStrategy::Beam { width } => crate::strategies::beam::run(&engine, self, width)?,
+            SearchStrategy::SuccessiveHalving => crate::strategies::halving::run(&engine, self)?,
+            SearchStrategy::LocalSearch { seed } => {
+                crate::strategies::local::run(&engine, self, seed)?
+            }
+        };
+        let mut stats = engine.stats();
+        stats.strategy = self.strategy.name();
+        stats.gap_upper_bound = gap;
+        Ok(SearchOutcome {
+            ranked,
+            stats,
+            partial,
+        })
     }
 }
 
@@ -391,115 +494,6 @@ impl SearchOutcome {
     pub fn best(&self) -> Option<&RankedPlacement> {
         self.ranked.first()
     }
-}
-
-/// Execute a [`SearchRequest`] through the incremental [`Engine`].
-pub fn search(
-    predictor: &Predictor,
-    profile: &Profile,
-    req: &SearchRequest<'_>,
-) -> Result<SearchOutcome, HmsError> {
-    req.validate()?;
-    profile.validate(&predictor.cfg)?;
-    let mut engine = Engine::new(predictor, profile);
-    if let Some(dir) = &req.skeleton_cache {
-        engine = match &req.cache_fs {
-            Some(fs) => engine.with_disk_cache_fs(dir, Arc::clone(fs)),
-            None => engine.with_disk_cache(dir),
-        };
-    }
-    engine.set_lane_width(req.lane_width);
-    let (ranked, partial, gap) = match req.strategy {
-        SearchStrategy::Exhaustive => {
-            let t0 = Instant::now();
-            let space = enumerate_placements(
-                req.arrays,
-                req.base,
-                &req.candidates,
-                &predictor.cfg,
-                req.limit,
-            );
-            engine.counters.add(
-                &engine.counters.enumerate_nanos,
-                t0.elapsed().as_nanos() as u64,
-            );
-            engine
-                .counters
-                .add(&engine.counters.candidates_enumerated, space.len() as u64);
-            if !req.interruptible() {
-                // No deadline and no cancel flag: the single-batch
-                // path, untouched — this is the byte/bit-identity
-                // baseline.
-                (engine.rank(&space, req.threads)?, false, 0.0)
-            } else {
-                {
-                    // Evaluate in the same deterministic BB_BATCH chunks
-                    // the branch-and-bound path uses, checking the clock
-                    // (and the cancel flag) only between chunks so each
-                    // prediction inside a chunk is computed exactly as
-                    // in the uninterrupted run.
-                    let mut ranked = Vec::with_capacity(space.len());
-                    let mut partial = false;
-                    let mut cut_at = space.len();
-                    for (i, chunk) in space.chunks(BB_BATCH).enumerate() {
-                        if req.interrupted() && !ranked.is_empty() {
-                            partial = true;
-                            cut_at = i * BB_BATCH;
-                            break;
-                        }
-                        ranked.extend(engine.evaluate_batch(chunk, req.threads)?);
-                    }
-                    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-                    // A deadline-cut exhaustive run is no longer exact:
-                    // bound the gap by the cheapest unevaluated
-                    // candidate's lower bound.
-                    let gap = if partial {
-                        let mut floor = crate::strategies::space_floor(
-                            &engine,
-                            req,
-                            space[cut_at..].iter(),
-                            space.len() >= req.limit,
-                        );
-                        if let Some(best) = ranked.first() {
-                            floor = floor.min(best.predicted_cycles);
-                        }
-                        crate::strategies::gap_from_floor(
-                            ranked.first().map(|r| r.predicted_cycles),
-                            floor,
-                        )
-                    } else {
-                        0.0
-                    };
-                    (ranked, partial, gap)
-                }
-            }
-        }
-        SearchStrategy::BranchAndBound => {
-            let (ranked, partial) = branch_and_bound(&engine, req)?;
-            // Complete branch-and-bound is exact (gap 0); a deadline cut
-            // leaves unexplored subtrees whose bounds were never
-            // visited, so fall back to the all-free floor.
-            let gap = if partial {
-                let floor = crate::strategies::all_free_floor(&engine, req)
-                    .min(ranked.first().map_or(f64::INFINITY, |r| r.predicted_cycles));
-                crate::strategies::gap_from_floor(ranked.first().map(|r| r.predicted_cycles), floor)
-            } else {
-                0.0
-            };
-            (ranked, partial, gap)
-        }
-        SearchStrategy::Beam { width } => crate::strategies::beam::run(&engine, req, width)?,
-        SearchStrategy::SuccessiveHalving => crate::strategies::halving::run(&engine, req)?,
-        SearchStrategy::LocalSearch { seed } => crate::strategies::local::run(&engine, req, seed)?,
-    };
-    let mut stats = engine.stats();
-    stats.strategy = req.strategy.name();
-    stats.gap_upper_bound = gap;
-    Ok(SearchOutcome {
-        ranked,
-        stats,
-        partial,
-    })
 }
 
 /// Leaves per evaluation batch. Constant (never derived from the worker
@@ -651,36 +645,6 @@ fn branch_and_bound(
     Ok((ranked, partial))
 }
 
-/// Predict every candidate placement and rank ascending by predicted
-/// time (best first), through the incremental engine. Prefer
-/// [`SearchRequest`] when you also control enumeration.
-pub fn rank_placements(
-    predictor: &Predictor,
-    profile: &Profile,
-    candidates: &[PlacementMap],
-) -> Result<Vec<RankedPlacement>, HmsError> {
-    Engine::new(predictor, profile).rank(candidates, 0)
-}
-
-/// The naive ranking path: one full `rewrite` + `analyze` per
-/// candidate, no delta reuse.
-///
-/// Kept as the engine's ground truth — the equivalence suite asserts the
-/// incremental path reproduces this bit for bit. The result is
-/// identical for every worker count: `par_map` reassembles in input
-/// order, and the final ordering is a *stable* total sort on the
-/// predicted time, so ties keep enumeration order no matter how the
-/// work was scheduled.
-#[deprecated(note = "use `rank_placements_naive` (oracle) or `SearchRequest::run` (fast path)")]
-pub fn rank_placements_threads(
-    predictor: &Predictor,
-    profile: &Profile,
-    candidates: &[PlacementMap],
-    threads: usize,
-) -> Result<Vec<RankedPlacement>, HmsError> {
-    rank_placements_naive(predictor, profile, candidates, threads)
-}
-
 /// The naive oracle: rank `candidates` with one full `rewrite` +
 /// `analyze` per candidate, no delta reuse. Slow by design — this is
 /// the ground truth the incremental engine is checked against, and the
@@ -703,30 +667,6 @@ pub fn rank_placements_naive(
     }
     ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
     Ok(ranked)
-}
-
-/// Exhaustively search the placement space of `candidates` and return
-/// the full ranking. Thin wrapper over [`SearchRequest`]; `cfg` must
-/// match the predictor's config (it always did at every call site) and
-/// is otherwise ignored.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(note = "use `SearchRequest::new(arrays, base).candidates(..).run(..)`")]
-pub fn exhaustive_search(
-    predictor: &Predictor,
-    profile: &Profile,
-    arrays: &[ArrayDef],
-    base: &PlacementMap,
-    candidates: &[ArrayId],
-    _cfg: &GpuConfig,
-    limit: usize,
-    threads: usize,
-) -> Result<Vec<RankedPlacement>, HmsError> {
-    SearchRequest::new(arrays, base)
-        .candidates(candidates)
-        .limit(limit)
-        .threads(threads)
-        .run(predictor, profile)
-        .map(|o| o.ranked)
 }
 
 #[cfg(test)]
@@ -795,35 +735,6 @@ mod tests {
                     "prediction differs across thread counts"
                 );
             }
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_new_api() {
-        let cfg = GpuConfig::test_small();
-        let kt = vecadd::build(Scale::Test);
-        let base = kt.default_placement();
-        let profile = profile_sample(&kt, &base, &cfg).unwrap();
-        let predictor = Predictor::new(cfg.clone());
-        let ids: Vec<ArrayId> = kt.arrays.iter().map(|a| a.id).collect();
-        let old = exhaustive_search(&predictor, &profile, &kt.arrays, &base, &ids, &cfg, 4096, 1)
-            .unwrap();
-        let new = SearchRequest::new(&kt.arrays, &base)
-            .threads(1)
-            .run(&predictor, &profile)
-            .unwrap();
-        assert_eq!(old.len(), new.ranked.len());
-        for (a, b) in old.iter().zip(&new.ranked) {
-            assert_eq!(a.placement, b.placement);
-            assert_eq!(a.predicted_cycles.to_bits(), b.predicted_cycles.to_bits());
-        }
-        // And the naive path agrees bit for bit with the engine path.
-        let space = enumerate_placements(&kt.arrays, &base, &ids, &cfg, 4096);
-        let naive = rank_placements_threads(&predictor, &profile, &space, 1).unwrap();
-        for (a, b) in naive.iter().zip(&new.ranked) {
-            assert_eq!(a.placement, b.placement);
-            assert_eq!(a.predicted_cycles.to_bits(), b.predicted_cycles.to_bits());
         }
     }
 
@@ -957,7 +868,9 @@ mod tests {
         let profile = profile_sample(&kt, &base, &cfg).unwrap();
         let candidates = enumerate_placements(&kt.arrays, &base, &[ArrayId(0)], &cfg, 100);
         let predictor = Predictor::new(cfg);
-        let ranked = rank_placements(&predictor, &profile, &candidates).unwrap();
+        let ranked = Engine::new(&predictor, &profile)
+            .rank(&candidates, 0)
+            .unwrap();
         assert_eq!(ranked.len(), candidates.len());
         for w in ranked.windows(2) {
             assert!(w[0].predicted_cycles <= w[1].predicted_cycles);

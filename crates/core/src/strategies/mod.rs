@@ -34,8 +34,9 @@
 //!   about the space it never visited).
 //!
 //! The exact strategies report gap 0 when they complete; when a
-//! deadline cuts them short, `search()` falls back to the same floor
-//! construction so a partial result still carries a sound bound.
+//! deadline cuts them short, `SearchRequest::run` falls back to the
+//! same floor construction so a partial result still carries a sound
+//! bound.
 //!
 //! # Determinism contract
 //!

@@ -168,7 +168,7 @@ impl Advisor {
 
     /// The profiled sample placement for `(kernel, scale)` — one
     /// simulation ever per key, then served from the LRU underneath the
-    /// prediction cache.
+    /// response cache.
     pub fn profile(
         &self,
         kt: &KernelTrace,

@@ -3,11 +3,13 @@
 //! Requests hash to one of a fixed set of shards (so concurrent lookups
 //! for different keys rarely contend on the same lock), and each shard
 //! is a classic O(1) LRU: a `HashMap` from key to slot index over an
-//! intrusive doubly-linked recency list in a slab. The server keeps two
-//! instances: the *prediction cache* — `(kernel, scale, placement,
-//! model-options)` → encoded response body — and the *profile cache*
-//! underneath it — `(kernel, scale)` → profiled sample — so a warm
-//! repeat query touches neither the simulator nor the trace rewriter.
+//! intrusive doubly-linked recency list in a slab. The server keeps
+//! three kinds of instance: the *raw-request memo* — request bytes →
+//! encoded response body; one *response cache* per tenant — a
+//! normalized predict or rank query → encoded response body; and each
+//! advisor's *profile cache* — `(kernel, scale)` → profiled sample — so
+//! a warm repeat query touches neither the simulator nor the trace
+//! rewriter.
 //!
 //! Hashing uses `std::collections::hash_map::DefaultHasher` with the
 //! default (fixed) keys, so shard assignment is deterministic within and

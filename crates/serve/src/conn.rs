@@ -157,7 +157,7 @@ impl Conn {
             Parse::Partial => {
                 if self.dead {
                     // EOF with a half request buffered: a truncated
-                    // request, same verdict as the blocking reader.
+                    // request, answered 400 rather than dropped.
                     Some(Err(HttpError::Malformed("eof inside request".into())))
                 } else {
                     None

@@ -17,7 +17,7 @@
 //!
 //! The [`Ctx`] passed to both stages carries the request's arrival
 //! time, the server deadline, metrics, and the multi-tenant registry;
-//! the per-tenant response caches stay internal to the built-ins.
+//! the per-tenant response cache stays internal to the built-ins.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,7 +29,7 @@ use crate::admission::{apply_cap, strategy_cap};
 use crate::api::{Advisor, ApiError, Effort, PredictQuery, RankQuery};
 use crate::http::Request;
 use crate::metrics::Metrics;
-use crate::server::{current_ready_state, PredKey, RankKey, ReadyState, Shared};
+use crate::server::{current_ready_state, PredKey, RankKey, ReadyState, ResponseKey, Shared};
 use crate::singleflight::FlightKey;
 use crate::wire::v1::error_body;
 use crate::wire::{decode, Json};
@@ -373,8 +373,8 @@ impl Handler for Predict {
                 Ok(r) => r,
                 Err(e) => return Outcome::Ready(api_error(e)),
             };
-            let key = PredKey::new(&t.advisor, &q, &kt, &resolved);
-            if let Some(body) = t.pred_cache.get(&key) {
+            let key = ResponseKey::Predict(PredKey::new(&t.advisor, &q, &kt, &resolved));
+            if let Some(body) = t.responses.get(&key) {
                 m.prediction_cache_hits.fetch_add(1, Ordering::Relaxed);
                 ctx.raw_put(req, &body);
                 return Outcome::Ready(Response::json_shared(body));
@@ -416,11 +416,11 @@ impl Predict {
             Ok(r) => r,
             Err(e) => return api_error(e),
         };
-        let key = PredKey::new(&t.advisor, q, &kt, &resolved);
+        let key = ResponseKey::Predict(PredKey::new(&t.advisor, q, &kt, &resolved));
         // The coalescing window only covers byte-identical requests; an
         // equivalent spelling (`moves` vs `placement`) may have filled
-        // the semantic cache since `poll` looked.
-        if let Some(body) = t.pred_cache.get(&key) {
+        // the response cache since `poll` looked.
+        if let Some(body) = t.responses.get(&key) {
             m.prediction_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Response::json_shared(body).cacheable();
         }
@@ -436,7 +436,7 @@ impl Predict {
         count_effort(m, &effort);
         m.predictions_computed.fetch_add(1, Ordering::Relaxed);
         let body = Arc::new(body.encode_pretty());
-        t.pred_cache.insert(key, Arc::clone(&body));
+        t.responses.insert(key, Arc::clone(&body));
         Response::json_shared(body).cacheable()
     }
 }
@@ -489,7 +489,10 @@ impl Handler for Rank {
             Err(resp) => return Outcome::Ready(resp),
         };
         let t = ctx.shared.tenant(tenant);
-        if let Some(body) = t.rank_cache.get(&self.key(&t.advisor, &q)) {
+        if let Some(body) = t
+            .responses
+            .get(&ResponseKey::Rank(self.key(&t.advisor, &q)))
+        {
             m.search_cache_hits.fetch_add(1, Ordering::Relaxed);
             ctx.raw_put(req, &body);
             return Outcome::Ready(Response::json_shared(body));
@@ -527,8 +530,10 @@ impl Rank {
     fn compute_for(&self, ctx: &Ctx<'_>, q: &RankQuery, tenant: usize) -> Response {
         let m = ctx.metrics();
         let t = ctx.shared.tenant(tenant);
-        let key = self.key(&t.advisor, q);
-        if let Some(body) = t.rank_cache.get(&key) {
+        let rank = self.key(&t.advisor, q);
+        let strategy = rank.strategy;
+        let key = ResponseKey::Rank(rank);
+        if let Some(body) = t.responses.get(&key) {
             m.search_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Response::json_shared(body).cacheable();
         }
@@ -547,7 +552,7 @@ impl Rank {
         let deadline = Some(ctx.arrived + budget);
         let remaining = budget.saturating_sub(ctx.arrived.elapsed());
         let level = ctx.shared.ladder_level(tenant, Some(remaining));
-        let (effective, degraded) = apply_cap(key.strategy, strategy_cap(level));
+        let (effective, degraded) = apply_cap(strategy, strategy_cap(level));
         let (body, outcome) = match t.advisor.rank_capped(
             q,
             self.search,
@@ -569,7 +574,7 @@ impl Rank {
         // not the query — caching either would pin an approximation as
         // the answer forever.
         if !outcome.partial && !degraded {
-            t.rank_cache.insert(key, Arc::clone(&body));
+            t.responses.insert(key, Arc::clone(&body));
             Response::json_shared(body).cacheable()
         } else {
             Response::json_shared(body)

@@ -1,22 +1,15 @@
-//! Minimal HTTP/1.1 framing over blocking streams — just enough for the
-//! advisory API: request-line + headers + `Content-Length` bodies in,
-//! fixed-length responses out, with keep-alive. No chunked encoding, no
-//! TLS, no pipelining (one request is fully answered before the next is
-//! read, which is how every mainstream client uses HTTP/1.1 anyway).
+//! Minimal HTTP/1.1 framing for the event-driven server — just enough
+//! for the advisory API: an incremental parser for request-line +
+//! headers + `Content-Length` bodies over a byte buffer, and a writer
+//! for fixed-length responses. No chunked encoding, no TLS.
 //!
-//! Limits are enforced while reading (not after), so a hostile peer
-//! cannot balloon memory: 8 KiB request line, 64 headers of 8 KiB each,
-//! 1 MiB body.
+//! Limits are enforced on every prefix (not after the whole request
+//! lands), so a hostile peer cannot balloon memory: 8 KiB request line,
+//! 64 headers of 8 KiB each, 1 MiB body. Timeouts belong to the
+//! connection layer ([`crate::conn`]), which knows when a request's
+//! first byte arrived.
 
-//! A read timeout on the stream alone is not enough: a slowloris peer
-//! that drips one byte per timeout window never trips it. So reading a
-//! request is bounded by a *cumulative* deadline that starts at the
-//! first request byte — however slowly the bytes arrive, the whole
-//! request must land within [`read_request`]'s `read_deadline` or the
-//! worker answers 408 and moves on.
-
-use std::io::{BufRead, Write};
-use std::time::{Duration, Instant};
+use std::io::Write;
 
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
 pub const MAX_HEADERS: usize = 64;
@@ -55,21 +48,9 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Clean EOF before any request byte — the peer just hung up.
-    Closed,
-    /// The read timeout fired while waiting for the *first* byte of a
-    /// request — an idle keep-alive connection, not an error. The server
-    /// uses this to poll its shutdown flag between requests.
-    IdleTimeout,
-    /// The cumulative request-read deadline expired mid-request: the
-    /// peer is trickling (slowloris) or stalled. Answered with 408 and
-    /// a close, freeing the worker.
-    RequestTimeout,
-    /// Read failed mid-request (reset, broken pipe, ...).
-    Io(std::io::Error),
     /// The bytes are not an HTTP/1.1 request we accept; the message is
     /// safe to echo in a 400.
     Malformed(String),
@@ -80,173 +61,15 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Closed => write!(f, "connection closed"),
-            HttpError::IdleTimeout => write!(f, "idle keep-alive timeout"),
-            HttpError::RequestTimeout => write!(f, "request not received within the read deadline"),
-            HttpError::Io(e) => write!(f, "io error: {e}"),
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(what) => write!(f, "{what} too large"),
         }
     }
 }
 
-/// Is this a stream read-timeout tick (retryable until the cumulative
-/// deadline) rather than a real failure?
-fn is_timeout_tick(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Map one retryable read error against the cumulative deadline.
-fn deadline_tick(e: std::io::Error, deadline: Instant) -> Result<(), HttpError> {
-    if is_timeout_tick(&e) {
-        if Instant::now() >= deadline {
-            Err(HttpError::RequestTimeout)
-        } else {
-            Ok(()) // still inside the budget: retry the read
-        }
-    } else if e.kind() == std::io::ErrorKind::Interrupted {
-        Ok(())
-    } else {
-        Err(HttpError::Io(e))
-    }
-}
-
-/// Read one CRLF- (or LF-) terminated line without the terminator,
-/// bounded by [`MAX_LINE_BYTES`] and the cumulative `deadline`.
-fn read_line(r: &mut impl BufRead, deadline: Instant) -> Result<String, HttpError> {
-    let mut buf = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Err(HttpError::Closed);
-                }
-                return Err(HttpError::Malformed("eof inside line".into()));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
-                    }
-                    return String::from_utf8(buf)
-                        .map_err(|_| HttpError::Malformed("non-UTF-8 header line".into()));
-                }
-                buf.push(byte[0]);
-                if buf.len() > MAX_LINE_BYTES {
-                    return Err(HttpError::TooLarge("header line"));
-                }
-                // A trickling peer keeps every individual read under the
-                // socket timeout, so the deadline must also be enforced
-                // on the successful-read path.
-                if Instant::now() >= deadline {
-                    return Err(HttpError::RequestTimeout);
-                }
-            }
-            Err(e) => deadline_tick(e, deadline)?,
-        }
-    }
-}
-
-/// Read and parse one request. `Err(Closed)` means the peer closed the
-/// connection between requests (normal keep-alive teardown).
-///
-/// `read_deadline` bounds the *whole* request read, measured from the
-/// first byte: the stream's own read timeout only bounds the gap
-/// between reads, so without this a trickling peer pins a worker
-/// indefinitely. The clock starts at the first byte — an idle
-/// keep-alive connection still surfaces as [`HttpError::IdleTimeout`]
-/// on the stream timeout, never as a request timeout.
-pub fn read_request(r: &mut impl BufRead, read_deadline: Duration) -> Result<Request, HttpError> {
-    // Wait for the first byte explicitly so a read timeout on an idle
-    // keep-alive connection is distinguishable from one mid-request.
-    match r.fill_buf() {
-        Ok([]) => return Err(HttpError::Closed),
-        Ok(_) => {}
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            return Err(HttpError::IdleTimeout)
-        }
-        Err(e) => return Err(HttpError::Io(e)),
-    }
-    // First byte is in: the cumulative budget for the rest starts now.
-    let deadline = Instant::now() + read_deadline;
-    let request_line = read_line(r, deadline)?;
-    let mut parts = request_line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
-        _ => {
-            return Err(HttpError::Malformed(format!(
-                "bad request line `{request_line}`"
-            )))
-        }
-    };
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(HttpError::Malformed(format!("bad version `{version}`")));
-    }
-    let mut headers = Vec::new();
-    loop {
-        let line = match read_line(r, deadline) {
-            Ok(l) => l,
-            Err(HttpError::Closed) => {
-                return Err(HttpError::Malformed("eof inside headers".into()))
-            }
-            Err(e) => return Err(e),
-        };
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::TooLarge("header count"));
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::Malformed(format!("bad header `{line}`")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length `{v}`")))?,
-        None => 0,
-    };
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpError::TooLarge("body"));
-    }
-    let mut body = vec![0u8; content_length];
-    let mut filled = 0;
-    while filled < content_length {
-        match r.read(&mut body[filled..]) {
-            // EOF where body bytes were promised: a truncated request,
-            // answered 400 — not a silent connection drop.
-            Ok(0) => return Err(HttpError::Malformed("eof inside body".into())),
-            Ok(n) => {
-                filled += n;
-                // Same slowloris guard as in `read_line`: steady small
-                // chunks never trip the socket timeout on their own.
-                if filled < content_length && Instant::now() >= deadline {
-                    return Err(HttpError::RequestTimeout);
-                }
-            }
-            Err(e) => deadline_tick(e, deadline)?,
-        }
-    }
-    Ok(Request {
-        method: method.to_string(),
-        target: target.to_string(),
-        headers,
-        body,
-    })
-}
-
-/// Result of attempting to parse one request out of a byte buffer.
-/// The event-driven path's counterpart to [`read_request`]: the caller
-/// accumulates bytes as they arrive and re-parses from the front.
+/// Result of attempting to parse one request out of a byte buffer:
+/// the caller accumulates bytes as they arrive and re-parses from the
+/// front.
 #[derive(Debug)]
 pub enum Parse {
     /// The buffer holds a prefix of a valid request; feed more bytes.
@@ -289,13 +112,11 @@ fn take_line(buf: &[u8], pos: &mut usize) -> Result<Option<String>, HttpError> {
     }
 }
 
-/// Parse one request from the front of `buf` without consuming it —
-/// the incremental twin of [`read_request`], accepting exactly the same
-/// grammar and enforcing the same limits (checked against the partial
-/// prefix too, so a hostile peer cannot balloon the buffer by never
-/// finishing a line). Timeouts are not this function's concern: the
-/// connection layer tracks when the first byte arrived and gives up on
-/// its own clock.
+/// Parse one request from the front of `buf` without consuming it.
+/// Limits are checked against the partial prefix too, so a hostile peer
+/// cannot balloon the buffer by never finishing a line. Timeouts are
+/// not this function's concern: the connection layer tracks when the
+/// first byte arrived and gives up on its own clock.
 pub fn parse_request_bytes(buf: &[u8]) -> Parse {
     let mut pos = 0usize;
     macro_rules! line {
@@ -400,10 +221,16 @@ pub fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parse `bytes` as everything the peer sent before hanging up: a
+    /// request still `Partial` at EOF is truncated, the verdict
+    /// [`crate::conn::Conn`] gives it.
     fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(bytes), Duration::from_secs(5))
+        match parse_request_bytes(bytes) {
+            Parse::Complete { req, .. } => Ok(req),
+            Parse::Partial => Err(HttpError::Malformed("eof inside request".into())),
+            Parse::Bad(e) => Err(e),
+        }
     }
 
     #[test]
@@ -430,11 +257,6 @@ mod tests {
     fn tolerates_bare_lf_lines() {
         let req = parse(b"GET /healthz HTTP/1.1\nHost: y\n\n").unwrap();
         assert_eq!(req.path(), "/healthz");
-    }
-
-    #[test]
-    fn clean_eof_is_closed() {
-        assert!(matches!(parse(b""), Err(HttpError::Closed)));
     }
 
     #[test]
@@ -473,45 +295,12 @@ mod tests {
     fn truncated_body_is_malformed() {
         // A peer that promises 10 bytes and hangs up after 5 sent a
         // *malformed request* (gets a 400), not an invisible I/O blip.
+        let truncated = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
+        assert!(matches!(parse_request_bytes(truncated), Parse::Partial));
         assert!(matches!(
-            parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"),
-            Err(HttpError::Malformed(m)) if m.contains("body")
+            parse(truncated),
+            Err(HttpError::Malformed(m)) if m.contains("eof")
         ));
-    }
-
-    #[test]
-    fn trickled_request_hits_cumulative_deadline() {
-        use std::io::Write as _;
-        use std::net::{TcpListener, TcpStream};
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // First byte lands, then the peer stalls far past the
-            // server's request-read deadline.
-            let _ = s.write_all(b"G");
-            std::thread::sleep(Duration::from_millis(700));
-            drop(s);
-        });
-        let (stream, _) = listener.accept().unwrap();
-        // Per-read timeout far smaller than the trickle stall: without
-        // the cumulative deadline this loop would retry forever.
-        stream
-            .set_read_timeout(Some(Duration::from_millis(25)))
-            .unwrap();
-        let t0 = Instant::now();
-        let err = read_request(&mut BufReader::new(stream), Duration::from_millis(150))
-            .expect_err("trickled request must not parse");
-        assert!(
-            matches!(err, HttpError::RequestTimeout),
-            "expected RequestTimeout, got {err}"
-        );
-        assert!(
-            t0.elapsed() < Duration::from_millis(600),
-            "deadline did not bound the read: {:?}",
-            t0.elapsed()
-        );
-        writer.join().unwrap();
     }
 
     #[test]
@@ -525,8 +314,9 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}"));
     }
 
-    /// Incremental parse of a byte-at-a-time feed must agree exactly
-    /// with the blocking reader on every accepted corpus entry.
+    /// Every proper prefix of an accepted request is `Partial`, and the
+    /// whole buffer — alone or with a pipelined request behind it —
+    /// parses to the same request with exactly its own bytes consumed.
     #[test]
     fn incremental_parse_matches_blocking_reader_at_every_split() {
         let corpus: &[&[u8]] = &[
@@ -536,24 +326,22 @@ mod tests {
             b"POST /v1/search HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
         ];
         for bytes in corpus {
-            let blocking = parse(bytes).unwrap();
+            let whole = parse(bytes).unwrap();
             for split in 0..bytes.len() {
-                // Every proper prefix is Partial...
                 assert!(
                     matches!(parse_request_bytes(&bytes[..split]), Parse::Partial),
                     "prefix of len {split} not Partial"
                 );
-                let _ = split;
             }
-            // ...and the full buffer parses to the same request with
-            // every byte accounted for.
-            match parse_request_bytes(bytes) {
+            let mut pipelined = bytes.to_vec();
+            pipelined.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
+            match parse_request_bytes(&pipelined) {
                 Parse::Complete { req, consumed } => {
                     assert_eq!(consumed, bytes.len());
-                    assert_eq!(req.method, blocking.method);
-                    assert_eq!(req.target, blocking.target);
-                    assert_eq!(req.headers, blocking.headers);
-                    assert_eq!(req.body, blocking.body);
+                    assert_eq!(req.method, whole.method);
+                    assert_eq!(req.target, whole.target);
+                    assert_eq!(req.headers, whole.headers);
+                    assert_eq!(req.body, whole.body);
                 }
                 other => panic!("full buffer did not complete: {other:?}"),
             }
@@ -595,7 +383,7 @@ mod tests {
             parse_request_bytes(oversize.as_bytes()),
             Parse::Bad(HttpError::TooLarge("body"))
         ));
-        // Malformed verdicts match the blocking reader's.
+        // Malformed verdicts come as soon as the bad line is complete.
         assert!(matches!(
             parse_request_bytes(b"NOT_A_REQUEST\r\n\r\n"),
             Parse::Bad(HttpError::Malformed(_))
@@ -603,22 +391,6 @@ mod tests {
         assert!(matches!(
             parse_request_bytes(b"GET / HTTP/2\r\n\r\n"),
             Parse::Bad(HttpError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn keepalive_reads_two_requests_from_one_stream() {
-        let bytes: &[u8] =
-            b"GET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let mut r = BufReader::new(bytes);
-        let budget = Duration::from_secs(5);
-        assert_eq!(read_request(&mut r, budget).unwrap().path(), "/healthz");
-        let second = read_request(&mut r, budget).unwrap();
-        assert_eq!(second.path(), "/metrics");
-        assert!(second.wants_close());
-        assert!(matches!(
-            read_request(&mut r, budget),
-            Err(HttpError::Closed)
         ));
     }
 }

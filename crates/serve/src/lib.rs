@@ -19,9 +19,9 @@
 //!
 //! Everything is built from `std::net` + `std::thread` + a `poll(2)`
 //! binding ([`poller`] — std already links libc): a hand-rolled
-//! escaping-correct JSON codec ([`wire`]), an HTTP/1.1 reader/writer
-//! with strict limits ([`http`]), a sharded LRU ([`cache`]) keying
-//! response bodies by `(kernel, scale, placement, model options)`,
+//! escaping-correct JSON codec ([`wire`]), an incremental HTTP/1.1
+//! parser and writer with strict limits ([`http`]), a sharded LRU
+//! ([`cache`]) keying response bodies by the normalized query,
 //! sharded event loops feeding a bounded worker pool through two-stage
 //! [`Handler`]s ([`server`], [`handlers`]), single-flight coalescing
 //! of concurrent identical requests ([`singleflight`]), a multi-tenant
@@ -55,6 +55,4 @@ pub use handlers::{Ctx, Handler, Outcome, Response};
 pub use metrics::{Metrics, Route};
 pub use registry::{preset, ConfigRegistry, PRESET_NAMES};
 pub use server::{ready_state, ReadyState, ServerConfig, ServerHandle};
-#[allow(deprecated)]
-pub use server::{spawn, ServeConfig};
 pub use wire::{decode, Json, WireError};

@@ -20,7 +20,7 @@
 //!   `hms_coalesced_requests_total`;
 //! * **multi-tenant registry** — requests carry an optional `config`
 //!   member naming a GPU configuration ([`crate::registry`]); each
-//!   tenant gets its own advisor and response caches, so two tenants
+//!   tenant gets its own advisor and response cache, so two tenants
 //!   can never serve each other's bytes;
 //! * **deadlines** — per-request (`504` before any model stage that
 //!   would finish past the deadline) and cumulative read
@@ -246,12 +246,11 @@ impl ServerConfig {
             self.shards
         };
         let n_tenants = registry.len();
-        let per_cache = (self.cache_entries.max(2) / (2 * n_tenants)).max(2);
+        let per_tenant = (self.cache_entries.max(2) / n_tenants).max(2);
         let tenants: Vec<Tenant> = (0..n_tenants)
             .map(|i| Tenant {
                 advisor: Arc::clone(registry.advisor(i)),
-                pred_cache: ShardedLru::new(per_cache, 8),
-                rank_cache: ShardedLru::new(per_cache, 8),
+                responses: ShardedLru::new(per_tenant, 8),
             })
             .collect();
         let mut inboxes = Vec::with_capacity(shards);
@@ -351,53 +350,6 @@ impl ServerConfig {
     }
 }
 
-/// Server tunables for the original single-advisor entry point.
-#[deprecated(note = "use `ServerConfig` (builder) with a `ConfigRegistry` instead")]
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Bind address; port 0 picks an ephemeral port (printed/returned).
-    pub addr: String,
-    /// Worker threads (0 = one per core, minimum 2).
-    pub threads: usize,
-    /// Total entries across the prediction and search caches.
-    pub cache_entries: usize,
-    /// Per-request deadline.
-    pub deadline: Duration,
-    /// Pending cold jobs before new connections are shed with 503.
-    /// 0 sheds everything (useful for tests).
-    pub queue_depth: usize,
-    /// Cumulative budget for receiving one request (slowloris defense).
-    pub read_deadline: Duration,
-}
-
-#[allow(deprecated)]
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            threads: 0,
-            cache_entries: 4096,
-            deadline: Duration::from_millis(10_000),
-            queue_depth: 128,
-            read_deadline: Duration::from_millis(10_000),
-        }
-    }
-}
-
-/// Original entry point: one advisor, serving as the only tenant.
-#[deprecated(note = "use `ServerConfig::spawn` with a `ConfigRegistry` instead")]
-#[allow(deprecated)]
-pub fn spawn(cfg: ServeConfig, advisor: Advisor) -> std::io::Result<ServerHandle> {
-    ServerConfig::new()
-        .bind(cfg.addr)
-        .workers(cfg.threads)
-        .cache_entries(cfg.cache_entries)
-        .deadline(cfg.deadline)
-        .queue_depth(cfg.queue_depth)
-        .read_deadline(cfg.read_deadline)
-        .spawn(ConfigRegistry::new("default", advisor))
-}
-
 /// What `/readyz` reports (and `hms_ready_state` exposes as a gauge):
 /// liveness (`/healthz`) says the process can answer; readiness says it
 /// is worth sending real traffic.
@@ -436,8 +388,8 @@ pub fn ready_state(shutdown: bool, queue_len: usize, queue_depth: usize) -> Read
     }
 }
 
-/// Prediction-cache key: everything that can change the response bytes
-/// (the tenant is implied — each tenant has its own cache).
+/// Prediction key: everything that can change the response bytes (the
+/// tenant is implied — each tenant has its own cache).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PredKey {
     kernel: String,
@@ -466,7 +418,7 @@ impl PredKey {
     }
 }
 
-/// Search-cache key: the full rank query plus which endpoint shape
+/// Rank key: the full rank query plus which endpoint shape
 /// (advise has no stats block) — threads excluded, results are
 /// thread-invariant.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -483,12 +435,19 @@ pub(crate) struct RankKey {
     pub(crate) trained: bool,
 }
 
-/// One tenant: an advisor plus its private response caches. Cache keys
+/// Semantic response-cache key. Predict and rank entries share one
+/// cache per tenant; the variant keeps them apart.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum ResponseKey {
+    Predict(PredKey),
+    Rank(RankKey),
+}
+
+/// One tenant: an advisor plus its private response cache. Cache keys
 /// never cross tenants because the caches themselves don't.
 pub(crate) struct Tenant {
     pub(crate) advisor: Arc<Advisor>,
-    pub(crate) pred_cache: ShardedLru<PredKey, Arc<String>>,
-    pub(crate) rank_cache: ShardedLru<RankKey, Arc<String>>,
+    pub(crate) responses: ShardedLru<ResponseKey, Arc<String>>,
 }
 
 /// Who gets a completed job's response, and where they're parked.
@@ -1297,16 +1256,11 @@ fn process_conn(shared: &Arc<Shared>, shard: usize, idx: usize, gen: u64, conn: 
         match conn.next_request() {
             None => break,
             Some(Err(e)) => {
-                match e {
-                    HttpError::Malformed(m) => {
-                        read_error(shared, conn, 400, &format!("malformed request: {m}"))
-                    }
-                    HttpError::TooLarge(what) => {
-                        read_error(shared, conn, 413, &format!("{what} too large"))
-                    }
-                    // Reset mid-request: nobody left to answer.
-                    _ => conn.dead = true,
-                }
+                let status = match e {
+                    HttpError::Malformed(_) => 400,
+                    HttpError::TooLarge(_) => 413,
+                };
+                read_error(shared, conn, status, &e.to_string());
                 break;
             }
             Some(Ok(req)) => handle_request(shared, shard, idx, gen, conn, req),

@@ -48,17 +48,22 @@ for seed in 7 170831 948276; do
         --test trace_properties --test engine_equivalence --test skeleton_cache
 done
 
-echo "==> search micro-benchmark (BENCH_search.json)"
+# The bench bins write their results under target/bench/; each gate
+# compares that fresh file against the committed baseline of the same
+# name at the repository root, so a CI run never dirties the tree.
+fresh=target/bench
 bench_num() {
     sed -n 's/^ *"'"$2"'": *\([0-9.eE+-]*\),*$/\1/p' "$1"
 }
+
+echo "==> search micro-benchmark (BENCH_search.json)"
 baseline_cps="$(bench_num BENCH_search.json engine_candidates_per_sec)"
 baseline_batch_cps="$(bench_num BENCH_search.json batch_candidates_per_sec)"
 [ -n "$baseline_cps" ] || { echo "no committed BENCH_search.json baseline"; exit 1; }
 [ -n "$baseline_batch_cps" ] || { echo "no committed batch baseline in BENCH_search.json"; exit 1; }
 cargo run -q -p hms-bench --release --offline --bin bench_search -- test
-current_cps="$(bench_num BENCH_search.json engine_candidates_per_sec)"
-current_batch_cps="$(bench_num BENCH_search.json batch_candidates_per_sec)"
+current_cps="$(bench_num "$fresh/BENCH_search.json" engine_candidates_per_sec)"
+current_batch_cps="$(bench_num "$fresh/BENCH_search.json" batch_candidates_per_sec)"
 echo "    engine_candidates_per_sec: baseline=$baseline_cps current=$current_cps"
 awk -v cur="$current_cps" -v base="$baseline_cps" 'BEGIN { exit !(cur >= 0.8 * base) }' || {
     echo "search throughput regressed >20% against the committed BENCH_search.json baseline"
@@ -71,13 +76,10 @@ awk -v cur="$current_batch_cps" -v base="$baseline_batch_cps" 'BEGIN { exit !(cu
 }
 
 echo "==> anytime search gate (BENCH_anytime.json)"
-bench_gap() {
-    sed -n 's/^ *"gate_gap_upper_bound": *\([0-9.eE+-]*\),*$/\1/p' "$1"
-}
-baseline_gap="$(bench_gap BENCH_anytime.json)"
+baseline_gap="$(bench_num BENCH_anytime.json gate_gap_upper_bound)"
 [ -n "$baseline_gap" ] || { echo "no committed BENCH_anytime.json baseline"; exit 1; }
 cargo run -q -p hms-bench --release --offline --bin bench_anytime -- gate
-current_gap="$(bench_gap BENCH_anytime.json)"
+current_gap="$(bench_num "$fresh/BENCH_anytime.json" gate_gap_upper_bound)"
 echo "    gate_gap_upper_bound: baseline=$baseline_gap current=$current_gap"
 # The gate gap is a pure function of the model (beam at a pinned width,
 # no deadline), so any growth is an engine/bound change, not noise; a
@@ -110,13 +112,10 @@ trap - EXIT
 rm -f "$serve_log"
 
 echo "==> serve load benchmark gate (256 connections, BENCH_serve.json)"
-bench_rps() {
-    sed -n 's/^ *"throughput_rps": *\([0-9.eE+-]*\),*$/\1/p' "$1"
-}
-baseline_rps="$(bench_rps BENCH_serve.json)"
+baseline_rps="$(bench_num BENCH_serve.json throughput_rps)"
 [ -n "$baseline_rps" ] || { echo "no committed BENCH_serve.json baseline"; exit 1; }
 cargo run -q -p hms-bench --release --offline --bin bench_serve -- gate
-current_rps="$(bench_rps BENCH_serve.json)"
+current_rps="$(bench_num "$fresh/BENCH_serve.json" throughput_rps)"
 echo "    throughput_rps: baseline=$baseline_rps current=$current_rps"
 awk -v cur="$current_rps" -v base="$baseline_rps" 'BEGIN { exit !(cur >= 0.8 * base) }' || {
     echo "serve throughput regressed >20% against the committed BENCH_serve.json baseline"

@@ -485,3 +485,97 @@ fn tenants_never_share_cache_entries() {
     assert!(r.body.contains("unknown config"), "{}", r.body);
     h.shutdown();
 }
+
+#[test]
+fn predict_and_search_entries_share_one_tenant_cache() {
+    let h = test_server(|c| c);
+    let mut c = Client::connect(h.addr());
+    let search = r#"{"kernel":"vecadd","scale":"test","top":3}"#;
+
+    let p1 = c.post("/v1/predict", PREDICT);
+    assert_eq!(p1.status, 200, "{}", p1.body);
+    let s1 = c.post("/v1/search", search);
+    assert_eq!(s1.status, 200, "{}", s1.body);
+    // Each route's first request missed on its own counters only.
+    assert_eq!(counter(&mut c, "hms_prediction_cache_misses_total"), 1.0);
+    assert_eq!(counter(&mut c, "hms_search_cache_misses_total"), 1.0);
+    assert_eq!(counter(&mut c, "hms_prediction_cache_hits_total"), 0.0);
+    assert_eq!(counter(&mut c, "hms_search_cache_hits_total"), 0.0);
+    let evaluated = counter(&mut c, "hms_engine_candidates_evaluated_total");
+
+    // Members reordered and a different `threads`: new bytes, so the
+    // raw-request memo misses, but the normalized query is the same and
+    // the response cache answers without running the engine.
+    let s2 = c.post(
+        "/v1/search",
+        r#"{"threads":2,"top":3,"scale":"test","kernel":"vecadd"}"#,
+    );
+    assert_eq!(s2.status, 200);
+    assert_eq!(s1.body, s2.body);
+    assert_eq!(counter(&mut c, "hms_search_cache_hits_total"), 1.0);
+    assert_eq!(
+        counter(&mut c, "hms_engine_candidates_evaluated_total"),
+        evaluated
+    );
+    assert_eq!(counter(&mut c, "hms_prediction_cache_hits_total"), 0.0);
+    assert_eq!(counter(&mut c, "hms_prediction_cache_misses_total"), 1.0);
+
+    // The predict entry survived beside the search entry.
+    let p2 = c.post(
+        "/v1/predict",
+        r#"{"scale":"test","placement":{"a":"T"},"kernel":"vecadd"}"#,
+    );
+    assert_eq!(p2.status, 200);
+    assert_eq!(p1.body, p2.body);
+    assert_eq!(counter(&mut c, "hms_prediction_cache_hits_total"), 1.0);
+    assert_eq!(counter(&mut c, "hms_predictions_computed_total"), 1.0);
+    assert_eq!(counter(&mut c, "hms_search_cache_hits_total"), 1.0);
+    assert_eq!(counter(&mut c, "hms_search_cache_misses_total"), 1.0);
+    h.shutdown();
+}
+
+#[test]
+fn advise_and_search_keep_separate_cache_entries() {
+    let h = test_server(|c| c);
+    let mut c = Client::connect(h.addr());
+
+    let search = c.post(
+        "/v1/search",
+        r#"{"kernel":"vecadd","scale":"test","top":3}"#,
+    );
+    assert_eq!(search.status, 200, "{}", search.body);
+    let evaluated = counter(&mut c, "hms_engine_candidates_evaluated_total");
+
+    // Same kernel and `top`, but advise has no stats block: its own
+    // entry, computed by its own engine run.
+    let advise = c.post(
+        "/v1/advise",
+        r#"{"kernel":"vecadd","scale":"test","top":3}"#,
+    );
+    assert_eq!(advise.status, 200, "{}", advise.body);
+    assert!(!advise.body.contains("\"stats\""));
+    assert_ne!(search.body, advise.body);
+    assert_eq!(counter(&mut c, "hms_search_cache_misses_total"), 2.0);
+    assert_eq!(counter(&mut c, "hms_search_cache_hits_total"), 0.0);
+    assert!(counter(&mut c, "hms_engine_candidates_evaluated_total") > evaluated);
+    let evaluated = counter(&mut c, "hms_engine_candidates_evaluated_total");
+
+    // Respelled repeats of each find their own entry.
+    let advise2 = c.post(
+        "/v1/advise",
+        r#"{"top":3,"kernel":"vecadd","scale":"test"}"#,
+    );
+    assert_eq!(advise.body, advise2.body);
+    let search2 = c.post(
+        "/v1/search",
+        r#"{"top":3,"kernel":"vecadd","scale":"test","threads":2}"#,
+    );
+    assert_eq!(search.body, search2.body);
+    assert_eq!(counter(&mut c, "hms_search_cache_hits_total"), 2.0);
+    assert_eq!(counter(&mut c, "hms_search_cache_misses_total"), 2.0);
+    assert_eq!(
+        counter(&mut c, "hms_engine_candidates_evaluated_total"),
+        evaluated
+    );
+    h.shutdown();
+}
