@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use hms_bench::Histogram;
 use hms_core::Predictor;
-use hms_faults::{retry_with_backoff, BackoffPolicy, FaultClient, FaultOutcome, FaultPlan};
+use hms_faults::{retry_with_backoff, BackoffPolicy, Client, FaultClient, FaultOutcome, FaultPlan};
 use hms_serve::{Advisor, ConfigRegistry, Json, Metrics, ServerConfig};
 use hms_stats::rng::Rng;
 use hms_types::GpuConfig;
@@ -115,11 +115,12 @@ fn main() {
 
     // Warmup: one of each body, so the timed run measures steady state.
     {
-        let mut c = Client::connect(addr);
+        let mut c = Client::connect(addr).expect("warmup connects");
+        let mut warm = |path, body| c.request("POST", path, body).expect("warmup request").0;
         for body in PREDICT_BODIES {
-            assert_eq!(c.post("/v1/predict", body), 200);
+            assert_eq!(warm("/v1/predict", body), 200);
         }
-        assert_eq!(c.post("/v1/search", SEARCH_BODY), 200);
+        assert_eq!(warm("/v1/search", SEARCH_BODY), 200);
     }
 
     let load = open_loop(addr, &mode);
@@ -154,7 +155,7 @@ fn main() {
     let plan = FaultPlan::from_seed(FAULT_SEED, mode.fault_cases);
     let mut fault_client = FaultClient::new(addr);
     fault_client.trickle_delay = Duration::from_millis(1);
-    let mut good = Client::connect(addr);
+    let mut good = Client::connect(addr).expect("good client connects");
     let mut rng = Rng::seed_from_u64(FAULT_SEED);
     let policy = BackoffPolicy::default();
     let mut fault_errors_4xx = 0u64;
@@ -191,14 +192,14 @@ fn main() {
         _ => 200,
     };
     handle.set_clock_skew(Duration::from_secs(60));
-    let mut degraded = Client::connect(addr);
+    let mut degraded = Client::connect(addr).expect("degraded client connects");
     let mut degraded_flagged = 0u64;
     let td = Instant::now();
     for i in 0..degraded_requests {
         // Distinct cold queries: cache hits bypass the ladder.
         let body = format!(r#"{{"kernel":"vecadd","scale":"test","top":{}}}"#, 200 + i);
         let (status, text) = degraded
-            .post_full("/v1/search", &body)
+            .request("POST", "/v1/search", &body)
             .expect("degraded-phase request");
         assert_eq!(status, 200, "degraded search failed: {text}");
         if text.contains("\"degraded\": true") {
@@ -214,7 +215,9 @@ fn main() {
     handle.set_clock_skew(Duration::ZERO);
     let tr = Instant::now();
     let recovery_ms = loop {
-        let (status, text) = degraded.get_full("/readyz").expect("readiness poll");
+        let (status, text) = degraded
+            .request("GET", "/readyz", "")
+            .expect("readiness poll");
         if status == 200 && text == "ready\n" {
             break tr.elapsed().as_secs_f64() * 1e3;
         }
@@ -583,90 +586,6 @@ fn storm(addr: SocketAddr, n: usize) -> Vec<String> {
         .collect()
 }
 
-/// One blocking keep-alive HTTP/1.1 client connection (warmup + fault
-/// phase, where simplicity beats throughput).
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = connect_retry(addr);
-        stream.set_nodelay(true).ok();
-        let writer = stream.try_clone().expect("clones stream");
-        Client {
-            reader: BufReader::new(stream),
-            writer,
-        }
-    }
-
-    /// POST a body, read the full response, return the status code.
-    /// Infallible convenience for warmup, where a failure is a bug.
-    fn post(&mut self, path: &str, body: &str) -> u16 {
-        self.try_post(path, body).expect("warmup request succeeds")
-    }
-
-    /// POST a body; any transport or framing failure comes back as an
-    /// `io::Error` so the caller can retry on a fresh connection.
-    fn try_post(&mut self, path: &str, body: &str) -> std::io::Result<u16> {
-        self.post_full(path, body).map(|(status, _)| status)
-    }
-
-    /// POST a body and read the full response text back (the degraded
-    /// phase inspects the `degraded` wire member).
-    fn post_full(&mut self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        write!(
-            self.writer,
-            "POST {path} HTTP/1.1\r\nhost: bench\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )?;
-        self.writer.flush()?;
-        self.read_response()
-    }
-
-    /// GET a path and read the full response text back.
-    fn get_full(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        write!(self.writer, "GET {path} HTTP/1.1\r\nhost: bench\r\n\r\n")?;
-        self.writer.flush()?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> std::io::Result<(u16, String)> {
-        let bad =
-            |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("unparseable status line"))?;
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line)?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = line
-                .to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-            {
-                content_length = v.parse().map_err(|_| bad("bad content-length"))?;
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        Ok((
-            status,
-            String::from_utf8(body).map_err(|_| bad("non-utf8 body"))?,
-        ))
-    }
-}
-
 /// One request through the jittered-backoff retry path; a transport
 /// failure costs a reconnect and a retry, not the whole benchmark.
 fn post_with_retry(
@@ -677,10 +596,12 @@ fn post_with_retry(
     policy: &BackoffPolicy,
     rng: &mut Rng,
 ) -> u16 {
-    retry_with_backoff(policy, rng, || match c.try_post(path, body) {
-        Ok(status) => Ok(status),
+    retry_with_backoff(policy, rng, || match c.request("POST", path, body) {
+        Ok((status, _)) => Ok(status),
         Err(e) => {
-            *c = Client::connect(addr);
+            if let Ok(fresh) = Client::connect(addr) {
+                *c = fresh;
+            }
             Err(e)
         }
     })

@@ -16,7 +16,7 @@
 mod args;
 
 use args::{parse, Command, MoveSpec, USAGE};
-use hms_core::{ModelOptions, Predictor, SearchStrategy};
+use hms_core::{ModelOptions, Predictor, SearchOutcome};
 use hms_dram::{detect_mapping, AddressMapping, MemoryController};
 use hms_kernels::{registry, Scale};
 use hms_serve::api::{Advisor, ApiError, Effort, PredictQuery, RankQuery};
@@ -260,12 +260,12 @@ fn run(cmd: Command) -> Result<(), CliError> {
                 beam: None,
             };
             let mut effort = Effort::default();
-            let (body, _outcome) = adv.rank(&q, false, None, &mut effort)?;
+            let (body, outcome) = adv.rank(&q, false, None, &mut effort)?;
             if json {
                 print!("{}", body.encode_pretty());
                 return Ok(());
             }
-            print_ranking(&body, top)?;
+            print_top(&adv, &q, &outcome)?;
         }
         Command::Search {
             kernel,
@@ -306,43 +306,22 @@ fn run(cmd: Command) -> Result<(), CliError> {
             // (`--prune --strategy beam`, `--seed` without `--strategy
             // local`, ...) is a usage error — exit 2, same rule the
             // server enforces with a 400.
-            let strategy: SearchStrategy = q.resolve_strategy()?;
-            // The JSON body intentionally omits wall-clock timings; the
-            // human `--stats` view wants them, so run the full outcome
-            // path here and the body builder for `--json`.
+            q.resolve_strategy()?;
+            let mut effort = Effort::default();
+            let (body, outcome) = adv.rank(&q, true, deadline, &mut effort)?;
             if json {
-                let mut effort = Effort::default();
-                let (body, _outcome) = adv.rank(&q, true, deadline, &mut effort)?;
                 print!("{}", body.encode_pretty());
                 return Ok(());
             }
-            let kt = adv.kernel(&q.kernel, q.scale)?;
-            let mut effort = Effort::default();
-            let profile = adv.profile(&kt, q.scale, &mut effort)?;
-            let sample = kt.default_placement();
-            let mut req = hms_core::SearchRequest::new(&kt.arrays, &sample)
-                .read_only_candidates()
-                .strategy(strategy)
-                .threads(q.threads)
-                .deadline(deadline);
-            if let Some(dir) = &skel_cache {
-                req = req.skeleton_cache(dir.clone());
-            }
-            let outcome = req.run(&adv.predictor, &profile)?;
             if outcome.partial {
                 println!(
                     "deadline hit after {}ms: best-so-far ranking (partial)",
                     deadline_ms.unwrap_or(0)
                 );
             }
-            println!("{} placements ranked; top {top}:", outcome.ranked.len());
-            for r in outcome.ranked.iter().take(top) {
-                println!(
-                    "  {:<44} predicted {:>10.0} cycles",
-                    r.placement.describe(&kt.arrays),
-                    r.predicted_cycles
-                );
-            }
+            print_top(&adv, &q, &outcome)?;
+            // The JSON body omits wall-clock timings; the human view
+            // prints the outcome's full stats, timings included.
             if stats {
                 println!();
                 print!("{}", outcome.stats);
@@ -358,7 +337,6 @@ fn run(cmd: Command) -> Result<(), CliError> {
             queue,
             train,
             skel_cache,
-            no_coalesce,
             tenants,
         } => {
             // A client hanging up mid-response must be an io error on
@@ -383,7 +361,6 @@ fn run(cmd: Command) -> Result<(), CliError> {
                 .cache_entries(cache_entries)
                 .deadline(Duration::from_millis(deadline_ms))
                 .queue_depth(queue)
-                .coalescing(!no_coalesce)
                 .spawn(registry)
                 .map_err(|e| CliError {
                     code: 1,
@@ -402,36 +379,17 @@ fn run(cmd: Command) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Human-readable top-k from the advise response body (single source of
-/// truth for the ranking — same body the server sends).
-fn print_ranking(body: &hms_serve::Json, top: usize) -> Result<(), CliError> {
-    use hms_serve::Json;
-    let total = body
-        .get("ranked_total")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| CliError::usage("malformed ranking body"))?;
-    let ranked = body
-        .get("ranked")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| CliError::usage("malformed ranking body"))?;
-    println!("{total} placements ranked; top {top}:");
-    for r in ranked.iter().take(top) {
-        let cycles = r
-            .get("predicted_cycles")
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        let placement = r
-            .get("placement")
-            .and_then(Json::as_obj)
-            .map(|members| {
-                members
-                    .iter()
-                    .map(|(name, space)| format!("{name}={}", space.as_str().unwrap_or("?")))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .unwrap_or_default();
-        println!("  {placement:<44} predicted {cycles:>10.0} cycles");
+/// Human-readable top-k of a ranking — the one printer behind `hms
+/// advise` and `hms search`.
+fn print_top(adv: &Advisor, q: &RankQuery, outcome: &SearchOutcome) -> Result<(), CliError> {
+    let kt = adv.kernel(&q.kernel, q.scale)?;
+    println!("{} placements ranked; top {}:", outcome.ranked.len(), q.top);
+    for r in outcome.ranked.iter().take(q.top) {
+        println!(
+            "  {:<44} predicted {:>10.0} cycles",
+            r.placement.describe(&kt.arrays),
+            r.predicted_cycles
+        );
     }
     Ok(())
 }

@@ -3,12 +3,10 @@
 //! sharing one body builder between the two transports. Also checks the
 //! CLI's failure discipline: usage errors exit 2, and nothing panics.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::process::Command;
-use std::time::Duration;
 
 use hms_core::Predictor;
+use hms_faults::Client;
 use hms_serve::{preset, Advisor, ConfigRegistry, ServerConfig};
 use hms_types::GpuConfig;
 
@@ -34,47 +32,11 @@ fn server_post(path: &str, body: &str) -> (u16, Vec<u8>) {
         .workers(1)
         .spawn(registry)
         .expect("binds");
-    let stream = TcpStream::connect(handle.addr()).expect("connects");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    write!(
-        writer,
-        "POST {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    writer.flush().unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            content_length = v.parse().unwrap();
-        }
-    }
-    let mut bytes = vec![0u8; content_length];
-    reader.read_exact(&mut bytes).unwrap();
+    let (status, body) = Client::connect(handle.addr())
+        .and_then(|mut c| c.request("POST", path, body))
+        .expect("server response");
     handle.shutdown();
-    (status, bytes)
+    (status, body.into_bytes())
 }
 
 #[test]

@@ -173,9 +173,14 @@ impl EngineStats {
         }
     }
 
-    /// Fold another stats snapshot into this one, field by field — the
-    /// hook long-lived callers (the advisory server's `/metrics`, sweep
-    /// harnesses) use to keep cumulative engine totals across searches.
+    /// Fold another stats snapshot into this one, field by field — how
+    /// the advisory server's `/metrics` keeps cumulative engine totals
+    /// across searches. Counters add up and `lane_width` keeps its peak.
+    /// `candidates_visited` and `gap_upper_bound` only carry meaning for
+    /// [anytime](Self::anytime) snapshots, so only those feed them: the
+    /// visits add up, and the gap is a gauge of the most recent anytime
+    /// search. The strategy name is per-search; the accumulator's own
+    /// label stays.
     pub fn accumulate(&mut self, other: &EngineStats) {
         self.skeletons_built += other.skeletons_built;
         self.full_rewrites += other.full_rewrites;
@@ -193,22 +198,12 @@ impl EngineStats {
         self.prepare_nanos += other.prepare_nanos;
         self.enumerate_nanos += other.enumerate_nanos;
         self.evaluate_nanos += other.evaluate_nanos;
-        self.candidates_visited += other.candidates_visited;
         self.batched_replays += other.batched_replays;
-        // Peak gauge, like the gap bound below.
         self.lane_width = self.lane_width.max(other.lane_width);
         self.events_streamed += other.events_streamed;
-        // A cumulative total keeps the *worst* gap seen; the strategy
-        // name is per-search, so the accumulator's own label wins.
-        self.gap_upper_bound = self.gap_upper_bound.max(other.gap_upper_bound);
-    }
-
-    /// Candidates evaluated per second of evaluation wall time.
-    pub fn candidates_per_sec(&self) -> f64 {
-        if self.evaluate_nanos == 0 {
-            0.0
-        } else {
-            self.candidates_evaluated as f64 / (self.evaluate_nanos as f64 / 1e9)
+        if other.anytime() {
+            self.candidates_visited += other.candidates_visited;
+            self.gap_upper_bound = other.gap_upper_bound;
         }
     }
 }
@@ -1646,23 +1641,11 @@ impl<'a> Engine<'a> {
         });
     }
 
-    /// Batched replay returning owned analyses, one per target, in
-    /// input order. The hot search path goes through
-    /// [`replay_batch_with`](Self::replay_batch_with) instead to skip
-    /// the per-lane clone.
-    pub(crate) fn replay_batch(
-        &self,
-        skel: &Skeleton,
-        targets: &[&PlacementMap],
-    ) -> Vec<TraceAnalysis> {
-        let mut out = Vec::with_capacity(targets.len());
-        self.replay_batch_with(skel, targets, |_, a| out.push(a.clone()));
-        out
-    }
-
     /// Single-candidate replay: a one-lane batch.
     fn replay(&self, skel: &Skeleton, target: &PlacementMap) -> TraceAnalysis {
-        self.replay_batch(skel, &[target]).pop().expect("one lane")
+        let mut out = None;
+        self.replay_batch_with(skel, &[target], |_, a| out = Some(a.clone()));
+        out.expect("one lane")
     }
 
     /// Predict `target`'s execution time through the incremental path

@@ -113,12 +113,6 @@ impl Predictor {
         }
     }
 
-    /// Replace the overlap model (after training).
-    pub fn with_overlap(mut self, overlap: ToverlapModel) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
     /// Predict the execution time of `target` given the sample
     /// `profile`.
     ///

@@ -203,7 +203,6 @@ pub struct SearchRequest<'a> {
     pub(crate) skeleton_cache: Option<PathBuf>,
     pub(crate) cache_fs: Option<Arc<dyn crate::skelcache::CacheFs>>,
     pub(crate) cancel: Option<Arc<AtomicBool>>,
-    pub(crate) lane_width: u64,
 }
 
 impl<'a> SearchRequest<'a> {
@@ -222,7 +221,6 @@ impl<'a> SearchRequest<'a> {
             skeleton_cache: None,
             cache_fs: None,
             cancel: None,
-            lane_width: 0,
         }
     }
 
@@ -263,16 +261,6 @@ impl<'a> SearchRequest<'a> {
     /// Pick the coverage strategy.
     pub fn strategy(mut self, strategy: SearchStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Fix the engine's replay lane width (candidates evaluated per
-    /// event-stream pass; see [`Engine::set_lane_width`]). `0` (the
-    /// default) autosizes per skeleton group. Any width produces
-    /// bit-identical rankings — the knob trades skeleton-decode
-    /// amortization against per-lane cache-model footprint.
-    pub fn lane_width(mut self, width: u64) -> Self {
-        self.lane_width = width;
         self
     }
 
@@ -378,7 +366,6 @@ impl<'a> SearchRequest<'a> {
                 None => engine.with_disk_cache(dir),
             };
         }
-        engine.set_lane_width(self.lane_width);
         let (ranked, partial, gap) = match self.strategy {
             SearchStrategy::Exhaustive => {
                 let t0 = Instant::now();
@@ -396,51 +383,51 @@ impl<'a> SearchRequest<'a> {
                 engine
                     .counters
                     .add(&engine.counters.candidates_enumerated, space.len() as u64);
-                if !self.interruptible() {
-                    // No deadline and no cancel flag: the single-batch
-                    // path, untouched — this is the byte/bit-identity
-                    // baseline.
-                    (engine.rank(&space, self.threads)?, false, 0.0)
+                // Evaluate in the same deterministic BB_BATCH chunks the
+                // branch-and-bound path uses when the search can be
+                // interrupted, checking the clock (and the cancel flag)
+                // only between chunks so each prediction inside a chunk
+                // is computed exactly as in the uninterrupted run. With
+                // neither a deadline nor a cancel flag the whole space is
+                // one chunk.
+                let chunk = if self.interruptible() {
+                    BB_BATCH
                 } else {
-                    // Evaluate in the same deterministic BB_BATCH chunks
-                    // the branch-and-bound path uses, checking the clock
-                    // (and the cancel flag) only between chunks so each
-                    // prediction inside a chunk is computed exactly as
-                    // in the uninterrupted run.
-                    let mut ranked = Vec::with_capacity(space.len());
-                    let mut partial = false;
-                    let mut cut_at = space.len();
-                    for (i, chunk) in space.chunks(BB_BATCH).enumerate() {
-                        if self.interrupted() && !ranked.is_empty() {
-                            partial = true;
-                            cut_at = i * BB_BATCH;
-                            break;
-                        }
-                        ranked.extend(engine.evaluate_batch(chunk, self.threads)?);
+                    space.len().max(1)
+                };
+                let mut ranked = Vec::with_capacity(space.len());
+                let mut partial = false;
+                let mut cut_at = space.len();
+                for (i, batch) in space.chunks(chunk).enumerate() {
+                    if self.interrupted() && !ranked.is_empty() {
+                        partial = true;
+                        cut_at = i * chunk;
+                        break;
                     }
-                    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-                    // A deadline-cut exhaustive run is no longer exact:
-                    // bound the gap by the cheapest unevaluated
-                    // candidate's lower bound.
-                    let gap = if partial {
-                        let mut floor = crate::strategies::space_floor(
-                            &engine,
-                            self,
-                            space[cut_at..].iter(),
-                            space.len() >= self.limit,
-                        );
-                        if let Some(best) = ranked.first() {
-                            floor = floor.min(best.predicted_cycles);
-                        }
-                        crate::strategies::gap_from_floor(
-                            ranked.first().map(|r| r.predicted_cycles),
-                            floor,
-                        )
-                    } else {
-                        0.0
-                    };
-                    (ranked, partial, gap)
+                    ranked.extend(engine.evaluate_batch(batch, self.threads)?);
                 }
+                ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
+                // A deadline-cut exhaustive run is no longer exact:
+                // bound the gap by the cheapest unevaluated
+                // candidate's lower bound.
+                let gap = if partial {
+                    let mut floor = crate::strategies::space_floor(
+                        &engine,
+                        self,
+                        space[cut_at..].iter(),
+                        space.len() >= self.limit,
+                    );
+                    if let Some(best) = ranked.first() {
+                        floor = floor.min(best.predicted_cycles);
+                    }
+                    crate::strategies::gap_from_floor(
+                        ranked.first().map(|r| r.predicted_cycles),
+                        floor,
+                    )
+                } else {
+                    0.0
+                };
+                (ranked, partial, gap)
             }
             SearchStrategy::BranchAndBound => {
                 let (ranked, partial) = branch_and_bound(&engine, self)?;
@@ -513,23 +500,13 @@ fn branch_and_bound(
     req: &SearchRequest<'_>,
 ) -> Result<(Vec<RankedPlacement>, bool), HmsError> {
     let t0 = Instant::now();
-    let n = req.arrays.len();
     // Remaining-subtree sizes for the pruned-candidate estimate: the
     // product of standalone-legal space counts below each depth.
     let mut subtree: Vec<u64> = vec![1; req.candidates.len() + 1];
     for (d, &id) in req.candidates.iter().enumerate().rev() {
         subtree[d] = subtree[d + 1].saturating_mul(engine.legal_spaces(id).len().max(1) as u64);
     }
-    let mut assignment: Vec<Option<MemorySpace>> = (0..n)
-        .map(|i| {
-            let id = ArrayId(i as u32);
-            if req.candidates.contains(&id) {
-                None
-            } else {
-                Some(req.base.space(id))
-            }
-        })
-        .collect();
+    let mut assignment = crate::strategies::template(req);
 
     struct Dfs<'s, 'e, 'p> {
         engine: &'s Engine<'e>,

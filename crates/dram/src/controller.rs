@@ -107,20 +107,6 @@ impl MemoryController {
         }
     }
 
-    /// Classify what `addr` *would* experience right now, without issuing.
-    pub fn peek_kind(&self, addr: u64) -> AccessKind {
-        let d = self.mapping.decode(addr);
-        self.banks[d.bank as usize].classify(d.row)
-    }
-
-    /// Close every row buffer (refresh boundary / between Algorithm-1
-    /// probe rounds).
-    pub fn precharge_all(&mut self) {
-        for b in &mut self.banks {
-            b.precharge();
-        }
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats

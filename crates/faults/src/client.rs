@@ -6,8 +6,12 @@
 //! documented guarantee. Crucially the client itself never panics on
 //! I/O: a server that closes, resets, or refuses is an outcome to
 //! classify, not a test-harness crash.
+//!
+//! [`Client`] is the well-behaved counterpart: a blocking keep-alive
+//! HTTP/1.1 connection for the ordinary requests test suites and
+//! benchmarks send around (or instead of) committed faults.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -190,6 +194,73 @@ impl FaultClient {
         // while our read side stays open for its 400.
         let _ = stream.shutdown(Shutdown::Write);
         read_outcome(stream)
+    }
+}
+
+/// A blocking keep-alive HTTP/1.1 client connection.
+pub struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    /// Connect to `addr`. Reads time out after 60 s, so a hung server
+    /// fails the caller instead of blocking it forever.
+    pub fn connect(addr: SocketAddr) -> io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(Duration::from_secs(60)))?;
+        let writer = stream.try_clone()?;
+        Ok(Client {
+            reader: BufReader::new(stream),
+            writer,
+        })
+    }
+
+    /// Send one request and read its response: `(status, body)`.
+    pub fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
+        write!(
+            self.writer,
+            "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )?;
+        self.writer.flush()?;
+        self.read_response()
+    }
+
+    /// Read the next response on the connection — including one the
+    /// server sends unasked, like a 503 shed at accept.
+    pub fn read_response(&mut self) -> io::Result<(u16, String)> {
+        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+        let mut status_line = String::new();
+        if self.reader.read_line(&mut status_line)? == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        let status: u16 = status_line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| bad("unparseable status line"))?;
+        let mut content_length = 0usize;
+        loop {
+            let mut line = String::new();
+            self.reader.read_line(&mut line)?;
+            let line = line.trim_end();
+            if line.is_empty() {
+                break;
+            }
+            if let Some(v) = line
+                .to_ascii_lowercase()
+                .strip_prefix("content-length:")
+                .map(str::trim)
+            {
+                content_length = v.parse().map_err(|_| bad("bad content-length"))?;
+            }
+        }
+        let mut body = vec![0u8; content_length];
+        self.reader.read_exact(&mut body)?;
+        let body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?;
+        Ok((status, body))
     }
 }
 

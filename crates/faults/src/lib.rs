@@ -18,7 +18,8 @@
 //!   suite ([`corpus`]).
 //! * [`FaultClient`] — a TCP client that *commits* each fault against a
 //!   live server and classifies the observable outcome
-//!   ([`client`]), plus [`backoff::retry_with_backoff`] for the
+//!   ([`client`]), with [`Client`] for the well-formed requests sent
+//!   around the faults, plus [`backoff::retry_with_backoff`] for the
 //!   benchmark client's retry loop ([`backoff`]).
 //! * [`ResourceFaultPlan`] / [`FaultyFs`] — seed-replayable *resource*
 //!   faults: disk corruption against the skeleton cache, worker-pool
@@ -36,7 +37,7 @@ pub mod plan;
 pub mod resource;
 
 pub use backoff::{retry_with_backoff, BackoffPolicy};
-pub use client::{FaultClient, FaultOutcome};
+pub use client::{Client, FaultClient, FaultOutcome};
 pub use corpus::adversarial_json;
 pub use plan::{FaultCase, FaultKind, FaultPlan};
 pub use resource::{FaultyFs, FsFault, ResourceFaultCase, ResourceFaultKind, ResourceFaultPlan};

@@ -135,7 +135,7 @@ impl Ctx<'_> {
 
     /// The advisor of a resolved tenant.
     pub fn advisor(&self, tenant: usize) -> &Arc<Advisor> {
-        self.shared.registry.advisor(tenant)
+        &self.shared.tenant(tenant).advisor
     }
 
     /// The watchdog's cooperative cancel flag for this compute slot.
@@ -147,8 +147,7 @@ impl Ctx<'_> {
     /// requests are refused with 429 before any model work. Tenants
     /// without a configured quota always admit.
     pub fn admit(&self, tenant: usize) -> Result<(), Response> {
-        let adm = &self.shared.admission[tenant];
-        if let Some(bucket) = &adm.bucket {
+        if let Some(bucket) = &self.shared.tenant(tenant).bucket {
             if !bucket.try_take() {
                 self.metrics()
                     .admission_rejected
@@ -258,7 +257,7 @@ fn count_effort(m: &Metrics, e: &Effort) {
 /// watchdog itself), a 200 as success. Client errors say nothing about
 /// the server's health and leave the breaker alone.
 fn feed_breaker(ctx: &Ctx<'_>, tenant: usize, resp: &Response) {
-    let breaker = &ctx.shared.admission[tenant].breaker;
+    let breaker = &ctx.shared.tenant(tenant).breaker;
     if resp.status >= 500 {
         breaker.on_failure();
     } else if resp.status == 200 {

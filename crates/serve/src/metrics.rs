@@ -1,10 +1,15 @@
-//! Server observability: lock-free counters and latency histograms,
-//! rendered in the Prometheus text exposition format at `GET /metrics`.
+//! Server observability: counters, latency histograms and cumulative
+//! engine stats, rendered in the Prometheus text exposition format at
+//! `GET /metrics`.
 //!
-//! Everything is a fixed-shape atomic — no allocation on the request
-//! path — and rendering iterates in a fixed order, so the exposition is
-//! deterministic modulo the counter values themselves. The metrics the
-//! acceptance criteria lean on:
+//! Server counters are fixed-shape atomics — no allocation on the
+//! request path — and rendering iterates in a fixed order, so the
+//! exposition is deterministic modulo the counter values themselves.
+//! The engine counters are one cumulative [`EngineStats`] behind a
+//! mutex, folded once per search by [`EngineStats::accumulate`] (which
+//! also owns the anytime-only rules for `candidates_visited` and the
+//! last-wins gap gauge) and rendered through one name/help/field table.
+//! The metrics the acceptance criteria lean on:
 //!
 //! * `hms_prediction_cache_{hits,misses}_total` and
 //!   `hms_profile_cache_{hits,misses}_total` — a warm repeat query must
@@ -15,6 +20,7 @@
 //!   server actually ran.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use hms_core::EngineStats;
@@ -94,30 +100,77 @@ impl Histogram {
     }
 }
 
-/// Cumulative counters mirroring [`EngineStats`]'s deterministic fields.
-#[derive(Default)]
-struct EngineTotals {
-    full_rewrites: AtomicU64,
-    skeletons_built: AtomicU64,
-    delta_cache_hits: AtomicU64,
-    exact_fallbacks: AtomicU64,
-    candidates_evaluated: AtomicU64,
-    candidates_pruned: AtomicU64,
-    candidates_visited: AtomicU64,
-    skeleton_disk_hits: AtomicU64,
-    skeleton_disk_misses: AtomicU64,
-    skeleton_disk_writes: AtomicU64,
-    skeleton_disk_tmp_swept: AtomicU64,
-    batched_replays: AtomicU64,
-    events_streamed: AtomicU64,
-    /// Peak lane width over the server's lifetime (a high-water gauge:
-    /// folded with `fetch_max`, matching [`EngineStats::merge`]).
-    lane_width: AtomicU64,
-    /// `f64::to_bits` of the most recent anytime search's reported gap
-    /// upper bound (a gauge: last value wins, exact searches don't
-    /// touch it).
-    last_gap_bits: AtomicU64,
-}
+/// The `hms_engine_*` counters: series name, help text, and the field of
+/// the cumulative [`EngineStats`] each one reads. Deterministic fields
+/// only — wall-clock nanos stay out of the exposition so warm-cache
+/// assertions can compare exact values.
+const ENGINE_COUNTERS: [(&str, &str, fn(&EngineStats) -> u64); 13] = [
+    (
+        "hms_engine_full_rewrites_total",
+        "Whole-trace rewrite+analyze runs across all searches.",
+        |s| s.full_rewrites,
+    ),
+    (
+        "hms_engine_delta_cache_hits_total",
+        "Candidates composed from memoized deltas.",
+        |s| s.delta_cache_hits,
+    ),
+    (
+        "hms_engine_skeletons_built_total",
+        "Distinct walk skeletons built.",
+        |s| s.skeletons_built,
+    ),
+    (
+        "hms_engine_exact_fallbacks_total",
+        "Candidates that fell back to the exact path.",
+        |s| s.exact_fallbacks,
+    ),
+    (
+        "hms_engine_candidates_evaluated_total",
+        "Candidates evaluated by the model.",
+        |s| s.candidates_evaluated,
+    ),
+    (
+        "hms_engine_candidates_pruned_total",
+        "Candidates skipped by branch-and-bound (estimate).",
+        |s| s.candidates_pruned,
+    ),
+    (
+        "hms_engine_candidates_visited_total",
+        "Partial assignments scored by anytime strategies.",
+        |s| s.candidates_visited,
+    ),
+    (
+        "hms_engine_skeleton_disk_hits_total",
+        "Skeletons loaded from the persistent cache.",
+        |s| s.skeleton_disk_hits,
+    ),
+    (
+        "hms_engine_skeleton_disk_misses_total",
+        "Persistent-cache probes that fell back to a rebuild.",
+        |s| s.skeleton_disk_misses,
+    ),
+    (
+        "hms_engine_skeleton_disk_writes_total",
+        "Healthy skeletons persisted to disk.",
+        |s| s.skeleton_disk_writes,
+    ),
+    (
+        "hms_engine_skeleton_tmp_swept_total",
+        "Stale skeleton temp files swept at cache open.",
+        |s| s.skeleton_disk_tmp_swept,
+    ),
+    (
+        "hms_engine_batched_replays_total",
+        "Event-major lane-batched replay passes.",
+        |s| s.batched_replays,
+    ),
+    (
+        "hms_engine_events_streamed_total",
+        "Skeleton events streamed by batched replays.",
+        |s| s.events_streamed,
+    ),
+];
 
 /// All server metrics. One instance per server, shared by `Arc`.
 #[derive(Default)]
@@ -169,7 +222,8 @@ pub struct Metrics {
     /// Circuit-breaker state of the most recently evaluated tenant:
     /// 0 = closed, 1 = half-open, 2 = open.
     pub breaker_state: AtomicU64,
-    engine: EngineTotals,
+    /// Cumulative engine counters of every search the server ran.
+    engine: Mutex<EngineStats>,
 }
 
 impl Metrics {
@@ -188,42 +242,15 @@ impl Metrics {
         self.latency[route.index()].observe(latency);
     }
 
-    /// Fold one search's engine counters into the cumulative totals
-    /// (deterministic fields only — wall-clock nanos stay out of the
-    /// exposition so warm-cache assertions can compare exact values).
+    /// Fold one search's engine counters into the cumulative totals.
     pub fn on_engine_stats(&self, s: &EngineStats) {
-        let e = &self.engine;
-        e.full_rewrites
-            .fetch_add(s.full_rewrites, Ordering::Relaxed);
-        e.skeletons_built
-            .fetch_add(s.skeletons_built, Ordering::Relaxed);
-        e.delta_cache_hits
-            .fetch_add(s.delta_cache_hits, Ordering::Relaxed);
-        e.exact_fallbacks
-            .fetch_add(s.exact_fallbacks, Ordering::Relaxed);
-        e.candidates_evaluated
-            .fetch_add(s.candidates_evaluated, Ordering::Relaxed);
-        e.candidates_pruned
-            .fetch_add(s.candidates_pruned, Ordering::Relaxed);
-        e.skeleton_disk_hits
-            .fetch_add(s.skeleton_disk_hits, Ordering::Relaxed);
-        e.skeleton_disk_misses
-            .fetch_add(s.skeleton_disk_misses, Ordering::Relaxed);
-        e.skeleton_disk_writes
-            .fetch_add(s.skeleton_disk_writes, Ordering::Relaxed);
-        e.skeleton_disk_tmp_swept
-            .fetch_add(s.skeleton_disk_tmp_swept, Ordering::Relaxed);
-        e.batched_replays
-            .fetch_add(s.batched_replays, Ordering::Relaxed);
-        e.events_streamed
-            .fetch_add(s.events_streamed, Ordering::Relaxed);
-        e.lane_width.fetch_max(s.lane_width, Ordering::Relaxed);
-        if s.anytime() {
-            e.candidates_visited
-                .fetch_add(s.candidates_visited, Ordering::Relaxed);
-            e.last_gap_bits
-                .store(s.gap_upper_bound.to_bits(), Ordering::Relaxed);
-        }
+        self.engine().accumulate(s);
+    }
+
+    fn engine(&self) -> MutexGuard<'_, EngineStats> {
+        self.engine
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Render the Prometheus text exposition.
@@ -301,7 +328,7 @@ impl Metrics {
             ));
         }
 
-        let counters: [(&str, &str, &AtomicU64); 18] = [
+        let counters: [(&str, &str, &AtomicU64); 16] = [
             (
                 "hms_prediction_cache_hits_total",
                 "Predict queries answered from the prediction cache.",
@@ -382,85 +409,19 @@ impl Metrics {
                 "Search responses served with a ladder-downgraded strategy.",
                 &self.degraded_responses,
             ),
-            (
-                "hms_engine_full_rewrites_total",
-                "Whole-trace rewrite+analyze runs across all searches.",
-                &self.engine.full_rewrites,
-            ),
-            (
-                "hms_engine_delta_cache_hits_total",
-                "Candidates composed from memoized deltas.",
-                &self.engine.delta_cache_hits,
-            ),
         ];
         for (name, help, v) in counters {
             g(&mut out, name, help, "counter");
             out.push_str(&format!("{name} {}\n", v.load(Ordering::Relaxed)));
         }
 
-        let more_engine: [(&str, &str, &AtomicU64); 11] = [
-            (
-                "hms_engine_skeletons_built_total",
-                "Distinct walk skeletons built.",
-                &self.engine.skeletons_built,
-            ),
-            (
-                "hms_engine_exact_fallbacks_total",
-                "Candidates that fell back to the exact path.",
-                &self.engine.exact_fallbacks,
-            ),
-            (
-                "hms_engine_candidates_evaluated_total",
-                "Candidates evaluated by the model.",
-                &self.engine.candidates_evaluated,
-            ),
-            (
-                "hms_engine_candidates_pruned_total",
-                "Candidates skipped by branch-and-bound (estimate).",
-                &self.engine.candidates_pruned,
-            ),
-            (
-                "hms_engine_candidates_visited_total",
-                "Partial assignments scored by anytime strategies.",
-                &self.engine.candidates_visited,
-            ),
-            (
-                "hms_engine_skeleton_disk_hits_total",
-                "Skeletons loaded from the persistent cache.",
-                &self.engine.skeleton_disk_hits,
-            ),
-            (
-                "hms_engine_skeleton_disk_misses_total",
-                "Persistent-cache probes that fell back to a rebuild.",
-                &self.engine.skeleton_disk_misses,
-            ),
-            (
-                "hms_engine_skeleton_disk_writes_total",
-                "Healthy skeletons persisted to disk.",
-                &self.engine.skeleton_disk_writes,
-            ),
-            (
-                "hms_engine_skeleton_tmp_swept_total",
-                "Stale skeleton temp files swept at cache open.",
-                &self.engine.skeleton_disk_tmp_swept,
-            ),
-            (
-                "hms_engine_batched_replays_total",
-                "Event-major lane-batched replay passes.",
-                &self.engine.batched_replays,
-            ),
-            (
-                "hms_engine_events_streamed_total",
-                "Skeleton events streamed by batched replays.",
-                &self.engine.events_streamed,
-            ),
-        ];
-        for (name, help, v) in more_engine {
+        let engine = *self.engine();
+        for (name, help, field) in ENGINE_COUNTERS {
             g(&mut out, name, help, "counter");
-            out.push_str(&format!("{name} {}\n", v.load(Ordering::Relaxed)));
+            out.push_str(&format!("{name} {}\n", field(&engine)));
         }
 
-        let gauges: [(&str, &str, &AtomicU64); 7] = [
+        let gauges: [(&str, &str, &AtomicU64); 6] = [
             (
                 "hms_queue_depth",
                 "Jobs waiting for a worker.",
@@ -491,16 +452,18 @@ impl Metrics {
                 "Circuit breaker: 0=closed, 1=half-open, 2=open.",
                 &self.breaker_state,
             ),
-            (
-                "hms_engine_lane_width",
-                "Peak replay lane width observed across all searches.",
-                &self.engine.lane_width,
-            ),
         ];
         for (name, help, v) in gauges {
             g(&mut out, name, help, "gauge");
             out.push_str(&format!("{name} {}\n", v.load(Ordering::Relaxed)));
         }
+        g(
+            &mut out,
+            "hms_engine_lane_width",
+            "Peak replay lane width observed across all searches.",
+            "gauge",
+        );
+        out.push_str(&format!("hms_engine_lane_width {}\n", engine.lane_width));
         g(
             &mut out,
             "hms_engine_gap_upper_bound",
@@ -509,7 +472,7 @@ impl Metrics {
         );
         out.push_str(&format!(
             "hms_engine_gap_upper_bound {}\n",
-            f64::from_bits(self.engine.last_gap_bits.load(Ordering::Relaxed))
+            engine.gap_upper_bound
         ));
         out
     }
@@ -632,6 +595,128 @@ mod tests {
             Metrics::scrape_counter(&text, "hms_engine_gap_upper_bound"),
             Some(0.25)
         );
+    }
+
+    /// The whole `hms_engine_*` exposition — names, HELP, TYPE, order
+    /// and values — after folding a fixed mix of exact and anytime
+    /// searches at different lane widths.
+    #[test]
+    fn engine_block_exposition_is_golden() {
+        let m = Metrics::new();
+        let exhaustive = EngineStats {
+            strategy: "exhaustive",
+            skeletons_built: 3,
+            full_rewrites: 4,
+            delta_cache_hits: 60,
+            exact_fallbacks: 1,
+            memo_tables_built: 9,
+            skeleton_disk_hits: 2,
+            skeleton_disk_misses: 1,
+            skeleton_disk_writes: 1,
+            skeleton_disk_tmp_swept: 1,
+            candidates_enumerated: 64,
+            candidates_evaluated: 64,
+            candidates_visited: 99,
+            gap_upper_bound: 0.5,
+            batched_replays: 5,
+            lane_width: 16,
+            events_streamed: 1000,
+            prepare_nanos: 123,
+            evaluate_nanos: 456,
+            ..EngineStats::default()
+        };
+        let beam = EngineStats {
+            strategy: "beam",
+            skeletons_built: 1,
+            full_rewrites: 1,
+            delta_cache_hits: 20,
+            candidates_evaluated: 21,
+            candidates_pruned: 7,
+            candidates_visited: 40,
+            gap_upper_bound: 0.125,
+            batched_replays: 2,
+            lane_width: 4,
+            events_streamed: 300,
+            ..EngineStats::default()
+        };
+        let local = EngineStats {
+            strategy: "local_search",
+            delta_cache_hits: 11,
+            candidates_evaluated: 11,
+            candidates_visited: 11,
+            gap_upper_bound: 0.0625,
+            batched_replays: 11,
+            lane_width: 64,
+            events_streamed: 700,
+            ..EngineStats::default()
+        };
+        let bnb = EngineStats {
+            strategy: "branch_and_bound",
+            skeletons_built: 1,
+            full_rewrites: 2,
+            delta_cache_hits: 5,
+            candidates_evaluated: 5,
+            candidates_pruned: 30,
+            candidates_visited: 3,
+            gap_upper_bound: 0.9,
+            batched_replays: 1,
+            lane_width: 2,
+            events_streamed: 50,
+            subtrees_pruned: 4,
+            ..EngineStats::default()
+        };
+        for s in [&exhaustive, &beam, &local, &bnb] {
+            m.on_engine_stats(s);
+        }
+        let text = m.render();
+        let block: Vec<&str> = text.lines().filter(|l| l.contains("hms_engine_")).collect();
+        let expected = "\
+# HELP hms_engine_full_rewrites_total Whole-trace rewrite+analyze runs across all searches.
+# TYPE hms_engine_full_rewrites_total counter
+hms_engine_full_rewrites_total 7
+# HELP hms_engine_delta_cache_hits_total Candidates composed from memoized deltas.
+# TYPE hms_engine_delta_cache_hits_total counter
+hms_engine_delta_cache_hits_total 96
+# HELP hms_engine_skeletons_built_total Distinct walk skeletons built.
+# TYPE hms_engine_skeletons_built_total counter
+hms_engine_skeletons_built_total 5
+# HELP hms_engine_exact_fallbacks_total Candidates that fell back to the exact path.
+# TYPE hms_engine_exact_fallbacks_total counter
+hms_engine_exact_fallbacks_total 1
+# HELP hms_engine_candidates_evaluated_total Candidates evaluated by the model.
+# TYPE hms_engine_candidates_evaluated_total counter
+hms_engine_candidates_evaluated_total 101
+# HELP hms_engine_candidates_pruned_total Candidates skipped by branch-and-bound (estimate).
+# TYPE hms_engine_candidates_pruned_total counter
+hms_engine_candidates_pruned_total 37
+# HELP hms_engine_candidates_visited_total Partial assignments scored by anytime strategies.
+# TYPE hms_engine_candidates_visited_total counter
+hms_engine_candidates_visited_total 51
+# HELP hms_engine_skeleton_disk_hits_total Skeletons loaded from the persistent cache.
+# TYPE hms_engine_skeleton_disk_hits_total counter
+hms_engine_skeleton_disk_hits_total 2
+# HELP hms_engine_skeleton_disk_misses_total Persistent-cache probes that fell back to a rebuild.
+# TYPE hms_engine_skeleton_disk_misses_total counter
+hms_engine_skeleton_disk_misses_total 1
+# HELP hms_engine_skeleton_disk_writes_total Healthy skeletons persisted to disk.
+# TYPE hms_engine_skeleton_disk_writes_total counter
+hms_engine_skeleton_disk_writes_total 1
+# HELP hms_engine_skeleton_tmp_swept_total Stale skeleton temp files swept at cache open.
+# TYPE hms_engine_skeleton_tmp_swept_total counter
+hms_engine_skeleton_tmp_swept_total 1
+# HELP hms_engine_batched_replays_total Event-major lane-batched replay passes.
+# TYPE hms_engine_batched_replays_total counter
+hms_engine_batched_replays_total 19
+# HELP hms_engine_events_streamed_total Skeleton events streamed by batched replays.
+# TYPE hms_engine_events_streamed_total counter
+hms_engine_events_streamed_total 2050
+# HELP hms_engine_lane_width Peak replay lane width observed across all searches.
+# TYPE hms_engine_lane_width gauge
+hms_engine_lane_width 64
+# HELP hms_engine_gap_upper_bound Reported optimality-gap upper bound of the most recent anytime search.
+# TYPE hms_engine_gap_upper_bound gauge
+hms_engine_gap_upper_bound 0.0625";
+        assert_eq!(block.join("\n"), expected);
     }
 
     #[test]

@@ -84,11 +84,9 @@ pub struct ServerConfig {
     deadline: Duration,
     queue_depth: usize,
     read_deadline: Duration,
-    coalescing: bool,
     quota: Option<(u64, u64)>,
     breaker_failures: u32,
     breaker_cooldown: Duration,
-    watchdog_interval: Duration,
     stall_timeout: Option<Duration>,
     routes: Vec<(String, String, Arc<dyn Handler>)>,
 }
@@ -103,11 +101,9 @@ impl Default for ServerConfig {
             deadline: Duration::from_millis(10_000),
             queue_depth: 128,
             read_deadline: Duration::from_millis(10_000),
-            coalescing: true,
             quota: None,
             breaker_failures: 5,
             breaker_cooldown: Duration::from_millis(500),
-            watchdog_interval: Duration::from_millis(100),
             stall_timeout: None,
             routes: Vec::new(),
         }
@@ -168,13 +164,6 @@ impl ServerConfig {
         self
     }
 
-    /// Single-flight coalescing of identical concurrent cold requests
-    /// (on by default; off makes every request compute independently).
-    pub fn coalescing(mut self, on: bool) -> Self {
-        self.coalescing = on;
-        self
-    }
-
     /// Per-tenant token-bucket quota: `burst` requests of headroom,
     /// refilled at `per_sec` requests per second. Out-of-quota cold
     /// requests are refused with 429 before any model work. Default:
@@ -194,12 +183,6 @@ impl ServerConfig {
         self
     }
 
-    /// How often the pool watchdog sweeps for stalled compute slots.
-    pub fn watchdog_interval(mut self, d: Duration) -> Self {
-        self.watchdog_interval = d;
-        self
-    }
-
     /// How long a compute slot may run before the watchdog intervenes:
     /// past `d` it raises the slot's cooperative cancel flag (the search
     /// returns best-so-far, flagged partial); past `2 * d` it
@@ -207,7 +190,8 @@ impl ServerConfig {
     /// replacement worker. Defaults to twice the request deadline plus
     /// 250 ms of grace: a deadline-honoring search legitimately runs
     /// right up to the deadline plus encode overhead, and only jobs
-    /// that badly overshoot it are stalled.
+    /// that badly overshoot it are stalled. The watchdog sweeps every
+    /// third of `d`, clamped to 1–100 ms ([`watchdog_sweep`]).
     pub fn stall_timeout(mut self, d: Duration) -> Self {
         self.stall_timeout = Some(d);
         self
@@ -251,6 +235,10 @@ impl ServerConfig {
             .map(|i| Tenant {
                 advisor: Arc::clone(registry.advisor(i)),
                 responses: ShardedLru::new(per_tenant, 8),
+                bucket: self
+                    .quota
+                    .map(|(burst, per_sec)| TokenBucket::new(burst, per_sec)),
+                breaker: CircuitBreaker::new(self.breaker_failures, self.breaker_cooldown),
             })
             .collect();
         let mut inboxes = Vec::with_capacity(shards);
@@ -260,14 +248,6 @@ impl ServerConfig {
                 waker: Waker::new()?,
             });
         }
-        let admission: Vec<TenantAdmission> = (0..n_tenants)
-            .map(|_| TenantAdmission {
-                bucket: self
-                    .quota
-                    .map(|(burst, per_sec)| TokenBucket::new(burst, per_sec)),
-                breaker: CircuitBreaker::new(self.breaker_failures, self.breaker_cooldown),
-            })
-            .collect();
         let shared = Arc::new(Shared {
             registry,
             tenants,
@@ -277,14 +257,12 @@ impl ServerConfig {
             job_ready: Condvar::new(),
             jobs_pending: AtomicU64::new(0),
             flights: FlightTable::new(),
-            coalescing: self.coalescing,
             shutdown: AtomicBool::new(false),
             deadline: self.deadline,
             read_deadline: self.read_deadline,
             queue_depth: self.queue_depth,
             inboxes,
             router: Router::new(self.routes),
-            admission,
             skew_millis: AtomicU64::new(0),
             watchdog: Watchdog::default(),
             stall_timeout: self
@@ -333,10 +311,9 @@ impl ServerConfig {
         }
         {
             let s = Arc::clone(&shared);
-            let interval = self.watchdog_interval;
             match std::thread::Builder::new()
                 .name("hms-watchdog".into())
-                .spawn(move || watchdog_loop(s, interval))
+                .spawn(move || watchdog_loop(s))
             {
                 Ok(t) => threads.push(t),
                 Err(e) => return fail(&shared, threads, e),
@@ -443,11 +420,16 @@ pub(crate) enum ResponseKey {
     Rank(RankKey),
 }
 
-/// One tenant: an advisor plus its private response cache. Cache keys
-/// never cross tenants because the caches themselves don't.
+/// One tenant: an advisor, its private response cache, and its
+/// admission state. Cache keys never cross tenants because the caches
+/// themselves don't.
 pub(crate) struct Tenant {
     pub(crate) advisor: Arc<Advisor>,
     pub(crate) responses: ShardedLru<ResponseKey, Arc<String>>,
+    /// The optional request quota (`None` admits everything).
+    pub(crate) bucket: Option<TokenBucket>,
+    /// The circuit breaker feeding the degradation ladder.
+    pub(crate) breaker: CircuitBreaker,
 }
 
 /// Who gets a completed job's response, and where they're parked.
@@ -587,13 +569,6 @@ impl Router {
     }
 }
 
-/// Per-tenant admission state: the optional request quota plus the
-/// circuit breaker feeding the degradation ladder.
-pub(crate) struct TenantAdmission {
-    pub(crate) bucket: Option<TokenBucket>,
-    pub(crate) breaker: CircuitBreaker,
-}
-
 /// One registered compute slot the watchdog is watching.
 struct ActiveSlot {
     started: Instant,
@@ -638,6 +613,7 @@ impl Watchdog {
 
 /// Everything the shards, workers, and handle share.
 pub(crate) struct Shared {
+    /// Resolves a request's `config` name to an index into `tenants`.
     pub(crate) registry: ConfigRegistry,
     pub(crate) tenants: Vec<Tenant>,
     pub(crate) metrics: Arc<Metrics>,
@@ -651,15 +627,12 @@ pub(crate) struct Shared {
     /// accept path's shed check and `/readyz`).
     jobs_pending: AtomicU64,
     flights: FlightTable<Waiter>,
-    coalescing: bool,
     shutdown: AtomicBool,
     pub(crate) deadline: Duration,
     read_deadline: Duration,
     queue_depth: usize,
     inboxes: Vec<Inbox>,
     router: Router,
-    /// Per-tenant admission state, parallel to `tenants`.
-    pub(crate) admission: Vec<TenantAdmission>,
     /// Injected forward skew on the deadline clock, in milliseconds —
     /// the chaos suite's clock-skew fault. Skew eats deadline budget
     /// (degrading searches); it never trips the 504 wall-clock check.
@@ -682,24 +655,8 @@ impl Shared {
 
     /// The degradation-ladder level for one request of tenant `idx`
     /// with `remaining` deadline budget left (already net of skew).
-    /// Refreshes the `hms_degradation_level` and `hms_breaker_state`
-    /// gauges.
     pub(crate) fn ladder_level(&self, tenant: usize, remaining: Option<Duration>) -> u8 {
-        let breaker = self.admission[tenant].breaker.state();
-        let level = degradation_level(
-            self.jobs_pending.load(Ordering::SeqCst) as usize,
-            self.queue_depth,
-            breaker,
-            remaining,
-            self.deadline,
-        );
-        self.metrics
-            .breaker_state
-            .store(breaker.gauge(), Ordering::Relaxed);
-        self.metrics
-            .degradation_level
-            .store(u64::from(level), Ordering::Relaxed);
-        level
+        self.ladder(self.tenant(tenant).breaker.state(), remaining)
     }
 
     /// The server-wide ladder level `/readyz` and `/metrics` report:
@@ -707,17 +664,24 @@ impl Shared {
     /// clock's drain on a fresh request's budget.
     pub(crate) fn server_ladder_level(&self) -> u8 {
         let breaker = self
-            .admission
+            .tenants
             .iter()
-            .map(|a| a.breaker.state())
+            .map(|t| t.breaker.state())
             .max_by_key(|s| s.gauge())
             .unwrap_or(BreakerState::Closed);
         let remaining = self.deadline.saturating_sub(self.skew_ahead());
+        self.ladder(breaker, Some(remaining))
+    }
+
+    /// The ladder level for `breaker` and `remaining` budget against the
+    /// shared queue. Refreshes the `hms_degradation_level` and
+    /// `hms_breaker_state` gauges.
+    fn ladder(&self, breaker: BreakerState, remaining: Option<Duration>) -> u8 {
         let level = degradation_level(
             self.jobs_pending.load(Ordering::SeqCst) as usize,
             self.queue_depth,
             breaker,
-            Some(remaining),
+            remaining,
             self.deadline,
         );
         self.metrics
@@ -950,15 +914,22 @@ fn worker_loop(shared: Arc<Shared>) {
     }
 }
 
-/// The pool watchdog: every `interval`, sweep the registered compute
-/// slots. Past the stall timeout a slot gets its cooperative cancel
-/// flag raised (anytime searches return best-so-far, flagged partial);
-/// past twice the timeout the slot is force-claimed — its waiters are
-/// answered 504, the breaker records the failure, and a replacement
-/// worker is spawned (capped at the pool size) because the wedged
-/// thread may never come back.
-fn watchdog_loop(shared: Arc<Shared>, interval: Duration) {
-    let interval = interval.max(Duration::from_millis(1));
+/// How often the pool watchdog sweeps for stalled compute slots: three
+/// sweeps per stall timeout, clamped to 1–100 ms, so a stall is noticed
+/// within a third of its timeout without busy-looping on tiny timeouts.
+pub(crate) fn watchdog_sweep(stall_timeout: Duration) -> Duration {
+    (stall_timeout / 3).clamp(Duration::from_millis(1), Duration::from_millis(100))
+}
+
+/// The pool watchdog: every [`watchdog_sweep`], sweep the registered
+/// compute slots. Past the stall timeout a slot gets its cooperative
+/// cancel flag raised (anytime searches return best-so-far, flagged
+/// partial); past twice the timeout the slot is force-claimed — its
+/// waiters are answered 504, the breaker records the failure, and a
+/// replacement worker is spawned (capped at the pool size) because the
+/// wedged thread may never come back.
+fn watchdog_loop(shared: Arc<Shared>) {
+    let interval = watchdog_sweep(shared.stall_timeout);
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(interval);
         let stall = shared.stall_timeout;
@@ -995,8 +966,8 @@ fn watchdog_loop(shared: Arc<Shared>, interval: Duration) {
             // Every tenant's breaker sees the stall: the watchdog can't
             // know which tenant wedged the slot, and a stalled pool
             // starves all of them equally.
-            for adm in &shared.admission {
-                adm.breaker.on_failure();
+            for t in &shared.tenants {
+                t.breaker.on_failure();
             }
             let resp = Response::error(504, "compute stalled; cancelled by the pool watchdog");
             deliver(&shared, key.as_ref(), &waiter, &resp);
@@ -1313,8 +1284,7 @@ fn handle_request(
                         arrived,
                     };
                     conn.busy = true;
-                    let key = (coalesce && shared.coalescing)
-                        .then(|| FlightKey::new(&req.target, &req.body));
+                    let key = coalesce.then(|| FlightKey::new(&req.target, &req.body));
                     let leads = match &key {
                         Some(k) => matches!(shared.flights.join(k, waiter.clone()), Join::Lead),
                         None => true,
@@ -1361,5 +1331,24 @@ fn handle_request(
                 close,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn watchdog_sweeps_three_times_per_stall_timeout_within_bounds() {
+        let ms = Duration::from_millis;
+        // The default stall timeout (2 × 10 s deadline + 250 ms) sweeps
+        // at the 100 ms ceiling; the chaos suite's 60 ms stall at 20 ms.
+        assert_eq!(watchdog_sweep(ms(20_250)), ms(100));
+        assert_eq!(watchdog_sweep(ms(60)), ms(20));
+        assert_eq!(watchdog_sweep(ms(300)), ms(100));
+        assert_eq!(watchdog_sweep(ms(150)), ms(50));
+        // Tiny timeouts never busy-loop.
+        assert_eq!(watchdog_sweep(ms(2)), ms(1));
+        assert_eq!(watchdog_sweep(Duration::ZERO), ms(1));
     }
 }

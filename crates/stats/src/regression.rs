@@ -162,67 +162,23 @@ impl OlsFit {
     }
 }
 
-/// Forward-stepwise OLS with leave-one-out cross-validation.
+/// Forward-stepwise OLS with leave-one-group-out cross-validation.
 ///
-/// Starting from an intercept-only model, greedily adds the feature that
-/// most reduces the LOO mean-squared error; stops when no candidate
-/// improves it. Unselected features receive weight 0. With few training
-/// observations relative to features (the `T_overlap` situation: ~38
-/// placements, 10 candidate events), full OLS extrapolates wildly on
-/// out-of-distribution inputs; stepwise selection trades a little bias
-/// for much lower variance.
-pub fn stepwise_fit(rows: &[Vec<f64>], ys: &[f64], ridge: f64) -> Result<OlsFit, HmsError> {
-    let groups: Vec<u64> = (0..rows.len() as u64).collect();
-    stepwise_fit_grouped(rows, ys, &groups, ridge)
-}
-
-/// [`stepwise_fit`] with *grouped* cross-validation: observations sharing
-/// a group id are held out together.
+/// Starting from the `seed` features (a structural prior, always
+/// included), greedily adds the `candidates` feature that most reduces
+/// the cross-validated mean-squared error, until no candidate improves
+/// it or `max_features` are selected. Unselected features receive
+/// weight 0. With few training observations relative to features (the
+/// `T_overlap` situation: ~38 placements, 10 candidate events), full
+/// OLS extrapolates wildly on out-of-distribution inputs; stepwise
+/// selection trades a little bias for much lower variance.
 ///
-/// Essential when observations cluster (the `T_overlap` training set has
-/// many near-identical placements of the same kernel): plain LOO then
-/// measures interpolation within a kernel, while the model must
-/// generalize *across* kernels. Leave-one-group-out holds out whole
-/// kernels.
-pub fn stepwise_fit_grouped(
-    rows: &[Vec<f64>],
-    ys: &[f64],
-    groups: &[u64],
-    ridge: f64,
-) -> Result<OlsFit, HmsError> {
-    stepwise_fit_grouped_bounded(rows, ys, groups, ridge, usize::MAX)
-}
-
-/// [`stepwise_fit_grouped`] with a cap on how many features may enter —
-/// a variance budget for very small training sets.
-pub fn stepwise_fit_grouped_bounded(
-    rows: &[Vec<f64>],
-    ys: &[f64],
-    groups: &[u64],
-    ridge: f64,
-    max_features: usize,
-) -> Result<OlsFit, HmsError> {
-    let all: Vec<usize> = (0..rows.first().map_or(0, |r| r.len())).collect();
-    stepwise_fit_candidates(rows, ys, groups, ridge, &all, max_features)
-}
-
-/// [`stepwise_fit_grouped_bounded`] restricted to an explicit candidate
-/// feature set — lets the caller impose a prior on which features are
-/// allowed to enter at all.
-pub fn stepwise_fit_candidates(
-    rows: &[Vec<f64>],
-    ys: &[f64],
-    groups: &[u64],
-    ridge: f64,
-    candidates: &[usize],
-    max_features: usize,
-) -> Result<OlsFit, HmsError> {
-    stepwise_fit_seeded(rows, ys, groups, ridge, &[], candidates, max_features)
-}
-
-/// [`stepwise_fit_candidates`] with a set of *seed* features that are
-/// always included (a structural prior), after which the remaining
-/// candidates compete under cross-validation.
+/// Cross-validation is *grouped*: observations sharing a group id are
+/// held out together. This is essential when observations cluster (the
+/// `T_overlap` training set has many near-identical placements of the
+/// same kernel): plain leave-one-out then measures interpolation within
+/// a kernel, while the model must generalize *across* kernels.
+/// Leave-one-group-out holds out whole kernels.
 pub fn stepwise_fit_seeded(
     rows: &[Vec<f64>],
     ys: &[f64],

@@ -180,12 +180,6 @@ impl<'t> ColumnarTrace<'t> {
         &self.warps
     }
 
-    /// Total ops currently encoded (bodies plus appended sequences).
-    #[inline]
-    pub fn op_count(&self) -> usize {
-        self.kind.len()
-    }
-
     /// Append an extra op sequence (e.g. a synthesized staging
     /// prologue/epilogue) into the shared arenas; the returned range is
     /// decodable with [`Self::op`] exactly like body ops.

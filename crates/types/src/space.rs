@@ -57,12 +57,6 @@ impl MemorySpace {
         matches!(self, MemorySpace::Global | MemorySpace::Shared)
     }
 
-    /// Whether this space is one of the texture binding modes.
-    #[inline]
-    pub fn is_texture(self) -> bool {
-        matches!(self, MemorySpace::Texture1D | MemorySpace::Texture2D)
-    }
-
     /// Short label used in placement-test notation, mirroring the paper's
     /// Table IV ("G, T, C, S and 2T stand for global, 1Dtexture, constant,
     /// shared, and 2Dtexture memories").

@@ -14,6 +14,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# advisorbench is its own workspace building the crates by path, so the
+# workspace tests above never compile it; its tests catch a public-API
+# change that would break the benchmark.
+echo "==> advisorbench tests"
+cargo test -q --offline --manifest-path advisorbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -12,14 +12,14 @@
 //! * with faults disabled, predictions are byte-identical before and
 //!   after the storm — degradation machinery is invisible when idle.
 
-use std::io::{BufRead, BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gpu_hms::core::{CacheFs, Predictor};
 use gpu_hms::faults::{
-    FaultClient, FaultOutcome, FaultPlan, FaultyFs, FsFault, ResourceFaultKind, ResourceFaultPlan,
+    Client, FaultClient, FaultOutcome, FaultPlan, FaultyFs, FsFault, ResourceFaultKind,
+    ResourceFaultPlan,
 };
 use gpu_hms::serve::api::{Effort, RankQuery};
 use gpu_hms::serve::http::Request;
@@ -56,59 +56,11 @@ fn chaos_server() -> gpu_hms::serve::ServerHandle {
         .expect("binds ephemeral port")
 }
 
-/// Minimal well-formed HTTP/1.1 client for the non-fault probes.
-struct Probe {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Probe {
-    fn connect(addr: SocketAddr) -> Probe {
-        let stream = TcpStream::connect(addr).expect("connects");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let writer = stream.try_clone().expect("clones");
-        Probe {
-            reader: BufReader::new(stream),
-            writer,
-        }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("writes");
-        self.writer.flush().unwrap();
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line).expect("status");
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).expect("header");
-            if line.trim_end().is_empty() {
-                break;
-            }
-            if let Some(v) = line
-                .to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-            {
-                content_length = v.parse().expect("length");
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).expect("body");
-        (status, String::from_utf8(body).expect("utf8 body"))
-    }
+/// One well-formed request on a fresh connection: `(status, body)`.
+fn probe(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    Client::connect(addr)
+        .and_then(|mut c| c.request(method, path, body))
+        .expect("probe request")
 }
 
 const PREDICT: &str = r#"{"kernel":"vecadd","scale":"test","moves":[{"array":"a","space":"T"}]}"#;
@@ -121,7 +73,7 @@ fn fault_matrix_is_survived_with_documented_outcomes() {
     let addr = h.addr();
 
     // Baseline prediction before any fault is committed.
-    let (status, baseline) = Probe::connect(addr).request("POST", "/v1/predict", PREDICT);
+    let (status, baseline) = probe(addr, "POST", "/v1/predict", PREDICT);
     assert_eq!(status, 200, "{baseline}");
 
     let mut client = FaultClient::new(addr);
@@ -140,7 +92,7 @@ fn fault_matrix_is_survived_with_documented_outcomes() {
         // The cardinal invariant: one poisoned connection never takes
         // the process (or a worker) with it. A hung worker pool would
         // stall this probe past its 10 s timeout.
-        let (status, body) = Probe::connect(addr).request("GET", "/healthz", "");
+        let (status, body) = probe(addr, "GET", "/healthz", "");
         assert_eq!(
             (status, body.as_str()),
             (200, "ok\n"),
@@ -152,7 +104,7 @@ fn fault_matrix_is_survived_with_documented_outcomes() {
 
     // Every slowloris that earned its 408 is visible to the operator.
     if saw_408 {
-        let (_, text) = Probe::connect(addr).request("GET", "/metrics", "");
+        let (_, text) = probe(addr, "GET", "/metrics", "");
         let timeouts = Metrics::scrape_counter(&text, "hms_read_timeouts_total")
             .expect("read-timeout series exists");
         assert!(timeouts >= 1.0, "408s answered but not counted");
@@ -160,7 +112,7 @@ fn fault_matrix_is_survived_with_documented_outcomes() {
 
     // With faults off the wire again, the model output is bit-identical
     // to the pre-chaos baseline: nothing degraded stays degraded.
-    let (status, after) = Probe::connect(addr).request("POST", "/v1/predict", PREDICT);
+    let (status, after) = probe(addr, "POST", "/v1/predict", PREDICT);
     assert_eq!(status, 200);
     assert_eq!(baseline, after, "prediction bytes drifted across chaos");
     h.shutdown();
@@ -178,19 +130,19 @@ fn distinct_seeds_give_distinct_but_replayable_schedules() {
 #[test]
 fn readiness_is_distinct_from_liveness() {
     let h = chaos_server();
-    let mut p = Probe::connect(h.addr());
+    let mut p = Client::connect(h.addr()).expect("connects");
 
     // Healthy: ready, and the gauge agrees with the endpoint.
-    let (status, body) = p.request("GET", "/readyz", "");
+    let (status, body) = p.request("GET", "/readyz", "").expect("response");
     assert_eq!((status, body.as_str()), (200, "ready\n"));
-    let (_, text) = p.request("GET", "/metrics", "");
+    let (_, text) = p.request("GET", "/metrics", "").expect("response");
     assert_eq!(
         Metrics::scrape_counter(&text, "hms_ready_state"),
         Some(0.0),
         "gauge disagrees with /readyz"
     );
     // Liveness body is part of the wire contract — byte-exact.
-    let (status, body) = p.request("GET", "/healthz", "");
+    let (status, body) = p.request("GET", "/healthz", "").expect("response");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
     // The classification function behind /readyz, on the states a live
@@ -280,7 +232,9 @@ fn resource_storm_degrades_gracefully_and_recovers() {
     let cfg = GpuConfig::test_small();
     let advisor = Advisor::new(cfg.clone(), Predictor::new(cfg))
         .with_skeleton_cache_fs(&dir, Arc::clone(&fs) as Arc<dyn CacheFs>);
-    let sweep = Duration::from_millis(20);
+    // The pool watchdog sweeps every third of the stall timeout.
+    let stall = Duration::from_millis(60);
+    let sweep = stall / 3;
     let h = ServerConfig::new()
         .bind("127.0.0.1:0")
         .workers(2)
@@ -291,8 +245,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
         // One watchdog kill opens the breaker — the ladder must engage
         // visibly during the storm, and recover monotonically after it.
         .breaker(1, Duration::from_millis(150))
-        .watchdog_interval(sweep)
-        .stall_timeout(Duration::from_millis(60))
+        .stall_timeout(stall)
         .route(
             "POST",
             "/v1/wedge",
@@ -305,11 +258,10 @@ fn resource_storm_degrades_gracefully_and_recovers() {
     let addr = h.addr();
 
     // Pre-storm baselines for the byte-identity check at the end.
-    let (status, predict_before) = Probe::connect(addr).request("POST", "/v1/predict", PREDICT);
+    let (status, predict_before) = probe(addr, "POST", "/v1/predict", PREDICT);
     assert_eq!(status, 200, "{predict_before}");
     const BASELINE_SEARCH: &str = r#"{"kernel":"vecadd","scale":"test","top":2}"#;
-    let (status, search_before) =
-        Probe::connect(addr).request("POST", "/v1/search", BASELINE_SEARCH);
+    let (status, search_before) = probe(addr, "POST", "/v1/search", BASELINE_SEARCH);
     assert_eq!(status, 200, "{search_before}");
     assert_exact_or_degraded(status, &search_before, "pre-storm baseline");
 
@@ -333,7 +285,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
             Some(mode) => {
                 fs.set(mode);
                 let q = storm_query(i);
-                let (status, body) = Probe::connect(addr).request("POST", "/v1/search", &q);
+                let (status, body) = probe(addr, "POST", "/v1/search", &q);
                 if let Some((best, gap)) = assert_exact_or_degraded(status, &body, &when) {
                     degraded_probes.push((q, best, gap));
                 }
@@ -345,10 +297,10 @@ fn resource_storm_degrades_gracefully_and_recovers() {
                     // being answered by the rest of the pool while the
                     // watchdog force-claims the wedged slot with a 504.
                     let wedged = std::thread::scope(|s| {
-                        let t = s.spawn(|| Probe::connect(addr).request("POST", "/v1/wedge", "{}"));
+                        let t = s.spawn(|| probe(addr, "POST", "/v1/wedge", "{}"));
                         std::thread::sleep(Duration::from_millis(10));
                         let q = storm_query(i);
-                        let (status, body) = Probe::connect(addr).request("POST", "/v1/search", &q);
+                        let (status, body) = probe(addr, "POST", "/v1/search", &q);
                         if let Some((best, gap)) = assert_exact_or_degraded(status, &body, &when) {
                             degraded_probes.push((q, best, gap));
                         }
@@ -374,7 +326,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
                     // gap on the wire.
                     h.set_clock_skew(case.skew());
                     let q = storm_query(i);
-                    let (status, body) = Probe::connect(addr).request("POST", "/v1/search", &q);
+                    let (status, body) = probe(addr, "POST", "/v1/search", &q);
                     let (best, gap) = assert_exact_or_degraded(status, &body, &when)
                         .unwrap_or_else(|| {
                             panic!("{when}: a skewed-out search served exact? {body}")
@@ -386,7 +338,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
             },
         }
         // The cardinal invariant, after every committed case.
-        let (status, body) = Probe::connect(addr).request("GET", "/healthz", "");
+        let (status, body) = probe(addr, "GET", "/healthz", "");
         assert_eq!(
             (status, body.as_str()),
             (200, "ok\n"),
@@ -420,7 +372,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
             r#"{{"kernel":"vecadd","scale":"test","top":{}}}"#,
             100 + attempt
         );
-        let (status, _) = Probe::connect(addr).request("POST", "/v1/search", &q);
+        let (status, _) = probe(addr, "POST", "/v1/search", &q);
         assert_eq!(status, 200);
         assert!(
             Instant::now() < recovery_deadline,
@@ -430,7 +382,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
     }
     // Non-degraded readiness within a watchdog sweep of reaching 0.
     std::thread::sleep(sweep);
-    let (status, body) = Probe::connect(addr).request("GET", "/readyz", "");
+    let (status, body) = probe(addr, "GET", "/readyz", "");
     assert_eq!(
         (status, body.as_str()),
         (200, "ready\n"),
@@ -439,14 +391,13 @@ fn resource_storm_degrades_gracefully_and_recovers() {
 
     // Byte-identity across the storm: the same predict query answers
     // with the exact same bytes it did before any fault was committed.
-    let (status, predict_after) = Probe::connect(addr).request("POST", "/v1/predict", PREDICT);
+    let (status, predict_after) = probe(addr, "POST", "/v1/predict", PREDICT);
     assert_eq!(status, 200);
     assert_eq!(
         predict_before, predict_after,
         "prediction bytes drifted across the resource storm"
     );
-    let (status, search_after) =
-        Probe::connect(addr).request("POST", "/v1/search", BASELINE_SEARCH);
+    let (status, search_after) = probe(addr, "POST", "/v1/search", BASELINE_SEARCH);
     assert_eq!(status, 200);
     assert_eq!(
         search_before, search_after,
@@ -457,7 +408,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
     // exact (degraded bodies are never cached, so this recomputes), and
     // check the documented contract `best <= optimum * (1 + gap)`.
     for (q, degraded_best, gap) in &degraded_probes {
-        let (status, body) = Probe::connect(addr).request("POST", "/v1/search", q);
+        let (status, body) = probe(addr, "POST", "/v1/search", q);
         assert_eq!(status, 200, "{body}");
         let v = decode(&body).expect("exact rerun is JSON");
         assert!(
@@ -483,7 +434,7 @@ fn resource_storm_degrades_gracefully_and_recovers() {
 
     // A watchdog kill (if the plan scheduled one) is operator-visible.
     if saw_watchdog_kill {
-        let (_, text) = Probe::connect(addr).request("GET", "/metrics", "");
+        let (_, text) = probe(addr, "GET", "/metrics", "");
         let kills = Metrics::scrape_counter(&text, "hms_watchdog_cancels_total")
             .expect("watchdog series exists");
         assert!(kills >= 1.0, "watchdog 504s answered but not counted");
@@ -504,29 +455,31 @@ fn quota_exhaustion_is_a_429_and_cache_hits_stay_free() {
         .quota(1, 0)
         .spawn(ConfigRegistry::new("default", advisor()))
         .expect("binds");
-    let mut p = Probe::connect(h.addr());
+    let mut p = Client::connect(h.addr()).expect("connects");
 
     let first = r#"{"kernel":"vecadd","scale":"test","top":1}"#;
-    let (status, body) = p.request("POST", "/v1/search", first);
+    let (status, body) = p.request("POST", "/v1/search", first).expect("response");
     assert_eq!(status, 200, "{body}");
 
     // Second cold query: the bucket is empty.
-    let (status, body) = p.request(
-        "POST",
-        "/v1/search",
-        r#"{"kernel":"spmv","scale":"test","top":1}"#,
-    );
+    let (status, body) = p
+        .request(
+            "POST",
+            "/v1/search",
+            r#"{"kernel":"spmv","scale":"test","top":1}"#,
+        )
+        .expect("response");
     assert_eq!(
         status, 429,
         "expected quota rejection, got {status}: {body}"
     );
 
     // The first query again: a rank-cache hit, served without a token.
-    let (status, _) = p.request("POST", "/v1/search", first);
+    let (status, _) = p.request("POST", "/v1/search", first).expect("response");
     assert_eq!(status, 200, "cache hits must not consume quota");
 
     // Rejections are counted for the operator.
-    let (_, text) = p.request("GET", "/metrics", "");
+    let (_, text) = p.request("GET", "/metrics", "").expect("response");
     let rejected = Metrics::scrape_counter(&text, "hms_admission_rejected_total")
         .expect("admission series exists");
     assert!(rejected >= 1.0);

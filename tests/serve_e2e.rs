@@ -4,13 +4,14 @@
 //! claims (a warm repeat query re-runs neither the simulator nor the
 //! trace-rewrite engine).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use gpu_hms::core::Predictor;
+use gpu_hms::faults::Client as HttpClient;
 use gpu_hms::serve::{
     Advisor, ConfigRegistry, Ctx, Handler, Metrics, Outcome, Response as HandlerResponse,
     ServerConfig,
@@ -29,10 +30,9 @@ fn test_server(mutate: impl FnOnce(ServerConfig) -> ServerConfig) -> gpu_hms::se
 }
 
 /// Minimal keep-alive HTTP/1.1 test client.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
+/// The shared blocking client, with transport failures as panics and
+/// the response as named fields.
+struct Client(HttpClient);
 
 struct Response {
     status: u16,
@@ -41,57 +41,17 @@ struct Response {
 
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connects");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let writer = stream.try_clone().expect("clones");
-        Client {
-            reader: BufReader::new(stream),
-            writer,
-        }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> Response {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("writes");
-        self.writer.flush().unwrap();
-        self.read_response().expect("response")
+        Client(HttpClient::connect(addr).expect("connects"))
     }
 
     fn read_response(&mut self) -> Option<Response> {
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line).ok()?;
-        if status_line.is_empty() {
-            return None;
-        }
-        let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).ok()?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = line
-                .to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-            {
-                content_length = v.parse().ok()?;
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).ok()?;
-        Some(Response {
-            status,
-            body: String::from_utf8(body).ok()?,
-        })
+        let (status, body) = self.0.read_response().ok()?;
+        Some(Response { status, body })
+    }
+
+    fn request(&mut self, method: &str, path: &str, body: &str) -> Response {
+        let (status, body) = self.0.request(method, path, body).expect("response");
+        Response { status, body }
     }
 
     fn get(&mut self, path: &str) -> Response {
@@ -321,11 +281,15 @@ fn graceful_shutdown_closes_the_port() {
 struct SlowEcho {
     computes: Arc<AtomicU64>,
     park: Duration,
+    /// What `poll` asks for: single-flight or independent computes.
+    coalesce: bool,
 }
 
 impl Handler for SlowEcho {
     fn poll(&self, _ctx: &Ctx<'_>, _req: &gpu_hms::serve::http::Request) -> Outcome {
-        Outcome::Compute { coalesce: true }
+        Outcome::Compute {
+            coalesce: self.coalesce,
+        }
     }
 
     fn compute(&self, _ctx: &Ctx<'_>, req: &gpu_hms::serve::http::Request) -> HandlerResponse {
@@ -345,6 +309,7 @@ fn single_flight_coalesces_concurrent_identical_requests() {
     let handler = Arc::new(SlowEcho {
         computes: Arc::clone(&computes),
         park: Duration::from_millis(600),
+        coalesce: true,
     });
     let h = test_server(|c| c.route("POST", "/v1/slow", handler));
     let addr = h.addr();
@@ -396,12 +361,9 @@ fn coalescing_can_be_disabled() {
     let handler = Arc::new(SlowEcho {
         computes: Arc::clone(&computes),
         park: Duration::from_millis(100),
+        coalesce: false,
     });
-    let h = test_server(|c| {
-        c.coalescing(false)
-            .workers(CLIENTS)
-            .route("POST", "/v1/slow", handler)
-    });
+    let h = test_server(|c| c.workers(CLIENTS).route("POST", "/v1/slow", handler));
     let addr = h.addr();
     let barrier = Arc::new(Barrier::new(CLIENTS));
     std::thread::scope(|s| {
