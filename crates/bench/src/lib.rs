@@ -3,7 +3,8 @@
 //! The experiment harness: everything needed to regenerate every table
 //! and figure of the paper's evaluation (see DESIGN.md's experiment
 //! index), plus the benchmark gates `scripts/ci.sh` runs
-//! (`bench_search`, `bench_anytime`, `bench_serve`).
+//! (`bench_anytime`, `bench_serve`; the search gate reads the
+//! `advisorbench` package's search-warm workload).
 //!
 //! * [`suite`] — the benchmark/placement suites of Table IV: each
 //!   kernel's *sample* placement and its placement tests, split into the

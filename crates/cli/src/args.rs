@@ -64,7 +64,7 @@ pub enum Command {
         config: Option<String>,
     },
     /// Search the placement space through the incremental engine, with
-    /// optional branch-and-bound pruning and observability stats.
+    /// a choice of strategy and observability stats.
     Search {
         kernel: String,
         scale: Scale,
@@ -340,11 +340,12 @@ SPACES: G (global), T (1-D texture), 2T (2-D texture), C (constant), S (shared)
 
 `search` ranks like `advise` but runs the incremental delta-evaluation
 engine; `--stats` prints its observability counters (full rewrites,
-delta hits, prune rate), `--prune` switches to branch-and-bound.
-`--strategy` picks the search algorithm by name: `exhaustive`, `bnb`
-(branch-and-bound), or the anytime strategies `beam` (beam search,
-width via `--beam`), `halving` (successive halving over skeleton
-groups), and `local` (seeded genetic local search, seed via `--seed`).
+delta hits, replay batching). `--strategy` picks the search algorithm
+by name: `exhaustive`, `bnb` (the exhaustive search under the name
+`branch_and_bound`, as `--prune` asks for), or the anytime strategies
+`beam` (beam search, width via `--beam`), `halving` (successive halving
+over skeleton groups), and `local` (seeded genetic local search, seed
+via `--seed`).
 Anytime strategies trade coverage for time and report a sound
 optimality-gap upper bound in `--stats`/`--json`: the true optimum is
 never better than best-found / (1 + gap). `--prune` conflicts with
@@ -373,7 +374,7 @@ configuration requests select with \"config\": NAME.
 
 EXAMPLES:
     hms advise neuralnet --train
-    hms search spmv --stats --prune
+    hms search spmv --stats
     hms search wide8 --scale test --strategy beam --beam 16 --stats
     hms search wide8 --scale test --strategy local --seed 7 --deadline-ms 2000
     hms predict spmv --move d_vec=G --move rowDelimiters=C

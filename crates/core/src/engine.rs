@@ -1,5 +1,5 @@
 //! Incremental placement-search engine: delta evaluation, memoization,
-//! and branch-and-bound support for the placement search.
+//! and the lower bound behind the anytime strategies' gap bounds.
 //!
 //! The naive search pipeline re-runs `rewrite` + `analyze` for every
 //! candidate placement, even though most of the work is identical
@@ -36,7 +36,7 @@
 //! candidates silently take the exact `rewrite`+`analyze` fallback, so
 //! correctness never depends on the delta machinery.
 //!
-//! For branch-and-bound pruning the engine also precomputes a **monotone
+//! For the anytime strategies the engine also precomputes a **monotone
 //! lower bound** on the predicted time of any completion of a partial
 //! assignment (see [`Engine::lower_bound`]): a `T_comp` floor from
 //! placement-invariant issue slots plus per-space stateless-replay and
@@ -44,8 +44,7 @@
 //! floors — combined through the overlap model's
 //! [`ToverlapModel::max_ratio`](crate::toverlap::ToverlapModel::max_ratio)
 //! ceiling. Every quantity in the bound can only grow when staging or
-//! cache misses are added, so no subtree containing the true optimum is
-//! ever pruned.
+//! cache misses are added, so every gap bound built from it is sound.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -99,16 +98,15 @@ pub struct EngineStats {
     /// (leftovers of writers that died mid-store — see the
     /// [`skelcache`](crate::skelcache) temp-file hygiene notes).
     pub skeleton_disk_tmp_swept: u64,
-    /// Legal candidates produced by enumeration (exhaustive) or visited
-    /// as branch-and-bound leaves.
+    /// Legal candidates produced by enumeration.
     pub candidates_enumerated: u64,
     /// Candidates actually evaluated by the model.
     pub candidates_evaluated: u64,
-    /// Completions skipped by the lower bound. Counted via per-array
-    /// standalone legality, so jointly-illegal completions inflate the
-    /// number slightly; it is an upper estimate of work avoided.
+    /// Always 0: no strategy prunes. Kept for the v1 wire member
+    /// `stats.candidates_pruned` and for the advisor benchmark's
+    /// per-strategy rows.
     pub candidates_pruned: u64,
-    /// Prefix subtrees cut by the bound.
+    /// Always 0, kept beside `candidates_pruned` for the same readers.
     pub subtrees_pruned: u64,
     /// Wall time preparing skeletons and delta memos.
     pub prepare_nanos: u64,
@@ -163,16 +161,6 @@ impl EngineStats {
         )
     }
 
-    /// Fraction of the (estimated) candidate space skipped by pruning.
-    pub fn prune_rate(&self) -> f64 {
-        let total = self.candidates_pruned + self.candidates_evaluated;
-        if total == 0 {
-            0.0
-        } else {
-            self.candidates_pruned as f64 / total as f64
-        }
-    }
-
     /// Fold another stats snapshot into this one, field by field — how
     /// the advisory server's `/metrics` keeps cumulative engine totals
     /// across searches. Counters add up and `lane_width` keeps its peak.
@@ -193,8 +181,6 @@ impl EngineStats {
         self.skeleton_disk_tmp_swept += other.skeleton_disk_tmp_swept;
         self.candidates_enumerated += other.candidates_enumerated;
         self.candidates_evaluated += other.candidates_evaluated;
-        self.candidates_pruned += other.candidates_pruned;
-        self.subtrees_pruned += other.subtrees_pruned;
         self.prepare_nanos += other.prepare_nanos;
         self.enumerate_nanos += other.enumerate_nanos;
         self.evaluate_nanos += other.evaluate_nanos;
@@ -236,12 +222,6 @@ impl std::fmt::Display for EngineStats {
             "  candidates evaluated    {:>10}",
             self.candidates_evaluated
         )?;
-        writeln!(
-            f,
-            "  candidates pruned (est) {:>10}",
-            self.candidates_pruned
-        )?;
-        writeln!(f, "  subtrees pruned         {:>10}", self.subtrees_pruned)?;
         writeln!(f, "  skeletons built         {:>10}", self.skeletons_built)?;
         writeln!(f, "  full trace rewrites     {:>10}", self.full_rewrites)?;
         writeln!(f, "  delta-composed evals    {:>10}", self.delta_cache_hits)?;
@@ -280,11 +260,6 @@ impl std::fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "  prune rate              {:>12.1}%",
-            self.prune_rate() * 100.0
-        )?;
-        writeln!(
-            f,
             "  prepare / enumerate / evaluate  {:.2} ms / {:.2} ms / {:.2} ms",
             self.prepare_nanos as f64 / 1e6,
             self.enumerate_nanos as f64 / 1e6,
@@ -307,8 +282,6 @@ pub(crate) struct EngineCounters {
     pub skeleton_disk_tmp_swept: AtomicU64,
     pub candidates_enumerated: AtomicU64,
     pub candidates_evaluated: AtomicU64,
-    pub candidates_pruned: AtomicU64,
-    pub subtrees_pruned: AtomicU64,
     pub prepare_nanos: AtomicU64,
     pub enumerate_nanos: AtomicU64,
     pub evaluate_nanos: AtomicU64,
@@ -334,8 +307,9 @@ impl EngineCounters {
             skeleton_disk_tmp_swept: g(&self.skeleton_disk_tmp_swept),
             candidates_enumerated: g(&self.candidates_enumerated),
             candidates_evaluated: g(&self.candidates_evaluated),
-            candidates_pruned: g(&self.candidates_pruned),
-            subtrees_pruned: g(&self.subtrees_pruned),
+            // No strategy prunes; see the fields' docs.
+            candidates_pruned: 0,
+            subtrees_pruned: 0,
             prepare_nanos: g(&self.prepare_nanos),
             enumerate_nanos: g(&self.enumerate_nanos),
             evaluate_nanos: g(&self.evaluate_nanos),
@@ -702,10 +676,9 @@ impl std::fmt::Debug for StaticsCache {
     }
 }
 
-/// Placement-invariant quantities behind the branch-and-bound lower
-/// bound. Every term either equals or under-approximates its
-/// counterpart in the real model for *any* completion of a partial
-/// assignment.
+/// Placement-invariant quantities behind the engine's lower bound.
+/// Every term either equals or under-approximates its counterpart in
+/// the real model for *any* completion of a partial assignment.
 #[derive(Debug)]
 struct LbStatics {
     detailed: bool,
@@ -1697,8 +1670,12 @@ impl<'a> Engine<'a> {
     /// feed lane batches to `threads` workers — each batch streams its
     /// skeleton's event column once for all its lanes. Workers steal
     /// whole units across skeleton groups; results reassemble by input
-    /// index, so the output (and every non-wall-clock counter) is
-    /// bit-identical for any worker count and any lane width.
+    /// index, so the output is bit-identical for any worker count and
+    /// any lane width. So are the counts of candidates, skeletons,
+    /// rewrites, memo tables and delta hits. The replay counters are
+    /// not: autosized lanes split each group by `threads` (see
+    /// `unit_width`), so `batched_replays`, `lane_width` and
+    /// `events_streamed` move with the worker count.
     pub(crate) fn evaluate_batch(
         &self,
         candidates: &[PlacementMap],
@@ -1818,7 +1795,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Standalone-legal spaces for each array (superset of the jointly
-    /// legal spaces) — drives branch-and-bound enumeration.
+    /// legal spaces): beam search's prefix alphabet and local search's
+    /// gene alphabet.
     pub(crate) fn legal_spaces(&self, array: ArrayId) -> &[MemorySpace] {
         &self.st.lb.legal_spaces[array.index()]
     }

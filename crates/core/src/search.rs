@@ -87,11 +87,10 @@ pub enum SearchStrategy {
     /// rewrite-per-candidate path for every worker count.
     #[default]
     Exhaustive,
-    /// Depth-first branch-and-bound over candidate arrays: subtrees
-    /// whose monotone lower bound already exceeds the best evaluated
-    /// candidate are skipped. Returns a *partial* ranking — pruned
-    /// placements are absent — but the top entry is always the true
-    /// optimum of the legal space, for every worker count.
+    /// A spelling of [`Exhaustive`](Self::Exhaustive) that keeps the
+    /// wire name `branch_and_bound` (`bnb`, `--prune`, `"prune": true`).
+    /// It runs the exhaustive search and returns its ranking bit for
+    /// bit. Kept while clients and the advisor benchmark still name it.
     BranchAndBound,
     /// Anytime beam search over per-array placement prefixes: at each
     /// depth only the `width` prefixes with the smallest monotone lower
@@ -187,7 +186,7 @@ impl SearchStrategy {
 /// ```ignore
 /// let outcome = SearchRequest::new(&kt.arrays, &base)
 ///     .candidates(&[ArrayId(0), ArrayId(1)])
-///     .strategy(SearchStrategy::BranchAndBound)
+///     .strategy(SearchStrategy::Beam { width: 8 })
 ///     .run(&predictor, &profile)?;
 /// println!("{}", outcome.stats);
 /// ```
@@ -244,8 +243,7 @@ impl<'a> SearchRequest<'a> {
         self
     }
 
-    /// Cap the number of legal placements enumerated (exhaustive) or
-    /// evaluated as leaves (branch-and-bound).
+    /// Cap the number of legal placements enumerated.
     pub fn limit(mut self, limit: usize) -> Self {
         self.limit = limit;
         self
@@ -327,8 +325,8 @@ impl<'a> SearchRequest<'a> {
 
     /// Reject structurally nonsense searches before any model work:
     /// a zero candidate cap, a candidate id past the kernel's arrays, or
-    /// the same array listed twice (the branch-and-bound assignment
-    /// vector indexes by array id and would silently double-assign).
+    /// the same array listed twice (the anytime strategies' assignment
+    /// vectors index by array id and would silently double-assign).
     pub fn validate(&self) -> Result<(), HmsError> {
         if self.limit == 0 {
             return Err(HmsError::InvalidInput(
@@ -367,7 +365,7 @@ impl<'a> SearchRequest<'a> {
             };
         }
         let (ranked, partial, gap) = match self.strategy {
-            SearchStrategy::Exhaustive => {
+            SearchStrategy::Exhaustive | SearchStrategy::BranchAndBound => {
                 let t0 = Instant::now();
                 let space = enumerate_placements(
                     self.arrays,
@@ -383,15 +381,14 @@ impl<'a> SearchRequest<'a> {
                 engine
                     .counters
                     .add(&engine.counters.candidates_enumerated, space.len() as u64);
-                // Evaluate in the same deterministic BB_BATCH chunks the
-                // branch-and-bound path uses when the search can be
-                // interrupted, checking the clock (and the cancel flag)
-                // only between chunks so each prediction inside a chunk
-                // is computed exactly as in the uninterrupted run. With
-                // neither a deadline nor a cancel flag the whole space is
-                // one chunk.
+                // Evaluate in deterministic EVAL_BATCH chunks when the
+                // search can be interrupted, checking the clock (and the
+                // cancel flag) only between chunks so each prediction
+                // inside a chunk is computed exactly as in the
+                // uninterrupted run. With neither a deadline nor a cancel
+                // flag the whole space is one chunk.
                 let chunk = if self.interruptible() {
-                    BB_BATCH
+                    EVAL_BATCH
                 } else {
                     space.len().max(1)
                 };
@@ -420,23 +417,6 @@ impl<'a> SearchRequest<'a> {
                     if let Some(best) = ranked.first() {
                         floor = floor.min(best.predicted_cycles);
                     }
-                    crate::strategies::gap_from_floor(
-                        ranked.first().map(|r| r.predicted_cycles),
-                        floor,
-                    )
-                } else {
-                    0.0
-                };
-                (ranked, partial, gap)
-            }
-            SearchStrategy::BranchAndBound => {
-                let (ranked, partial) = branch_and_bound(&engine, self)?;
-                // Complete branch-and-bound is exact (gap 0); a deadline cut
-                // leaves unexplored subtrees whose bounds were never
-                // visited, so fall back to the all-free floor.
-                let gap = if partial {
-                    let floor = crate::strategies::all_free_floor(&engine, self)
-                        .min(ranked.first().map_or(f64::INFINITY, |r| r.predicted_cycles));
                     crate::strategies::gap_from_floor(
                         ranked.first().map(|r| r.predicted_cycles),
                         floor,
@@ -483,144 +463,12 @@ impl SearchOutcome {
     }
 }
 
-/// Leaves per evaluation batch. Constant (never derived from the worker
-/// count or core count) so the bound-update schedule — and therefore the
-/// exact set of placements evaluated — is machine- and thread-count
-/// independent.
-pub(crate) const BB_BATCH: usize = 64;
-
-/// Depth-first branch-and-bound over the candidate arrays, in candidate
-/// order, spaces in [`MemorySpace::ALL`] order. Leaves are collected
-/// into fixed-size batches and evaluated in parallel; the incumbent
-/// upper bound tightens between batches. A subtree is cut only when its
-/// monotone lower bound *strictly exceeds* the incumbent, so the true
-/// optimum always survives to evaluation.
-fn branch_and_bound(
-    engine: &Engine<'_>,
-    req: &SearchRequest<'_>,
-) -> Result<(Vec<RankedPlacement>, bool), HmsError> {
-    let t0 = Instant::now();
-    // Remaining-subtree sizes for the pruned-candidate estimate: the
-    // product of standalone-legal space counts below each depth.
-    let mut subtree: Vec<u64> = vec![1; req.candidates.len() + 1];
-    for (d, &id) in req.candidates.iter().enumerate().rev() {
-        subtree[d] = subtree[d + 1].saturating_mul(engine.legal_spaces(id).len().max(1) as u64);
-    }
-    let mut assignment = crate::strategies::template(req);
-
-    struct Dfs<'s, 'e, 'p> {
-        engine: &'s Engine<'e>,
-        req: &'s SearchRequest<'p>,
-        subtree: &'s [u64],
-        ub: f64,
-        batch: Vec<PlacementMap>,
-        evaluated: Vec<RankedPlacement>,
-        leaves: usize,
-        error: Option<HmsError>,
-        partial: bool,
-    }
-
-    impl Dfs<'_, '_, '_> {
-        /// Deadline and cancel flag are checked only between leaves, and
-        /// never before the first leaf has been collected: a partial
-        /// outcome always carries at least one real best-so-far
-        /// prediction.
-        fn out_of_time(&mut self) -> bool {
-            if self.partial {
-                return true;
-            }
-            if self.leaves > 0 && self.req.interrupted() {
-                self.partial = true;
-                return true;
-            }
-            false
-        }
-
-        fn flush(&mut self) {
-            if self.batch.is_empty() || self.error.is_some() {
-                return;
-            }
-            let batch = std::mem::take(&mut self.batch);
-            match self.engine.evaluate_batch(&batch, self.req.threads) {
-                Ok(ranked) => {
-                    for r in &ranked {
-                        if r.predicted_cycles < self.ub {
-                            self.ub = r.predicted_cycles;
-                        }
-                    }
-                    self.evaluated.extend(ranked);
-                }
-                Err(e) => self.error = Some(e),
-            }
-        }
-
-        fn visit(
-            &mut self,
-            depth: usize,
-            assignment: &mut [Option<MemorySpace>],
-            pm: &PlacementMap,
-        ) {
-            if self.error.is_some() || self.leaves >= self.req.limit || self.out_of_time() {
-                return;
-            }
-            if self.engine.lower_bound(assignment) > self.ub {
-                let c = &self.engine.counters;
-                c.add(&c.subtrees_pruned, 1);
-                c.add(&c.candidates_pruned, self.subtree[depth]);
-                return;
-            }
-            let Some(&id) = self.req.candidates.get(depth) else {
-                // Leaf: joint legality can be stricter than the per-array
-                // legality that shaped the tree (e.g. shared capacity).
-                if pm
-                    .validate(self.req.arrays, &self.engine.predictor().cfg)
-                    .is_ok()
-                {
-                    self.leaves += 1;
-                    let c = &self.engine.counters;
-                    c.add(&c.candidates_enumerated, 1);
-                    self.batch.push(pm.clone());
-                    if self.batch.len() >= BB_BATCH {
-                        self.flush();
-                    }
-                }
-                return;
-            };
-            for &space in self.engine.legal_spaces(id) {
-                assignment[id.index()] = Some(space);
-                let child = pm.with(id, space);
-                self.visit(depth + 1, assignment, &child);
-                assignment[id.index()] = None;
-            }
-        }
-    }
-
-    let mut dfs = Dfs {
-        engine,
-        req,
-        subtree: &subtree,
-        ub: f64::INFINITY,
-        batch: Vec::new(),
-        evaluated: Vec::new(),
-        leaves: 0,
-        error: None,
-        partial: false,
-    };
-    let root = req.base.clone();
-    engine.counters.add(
-        &engine.counters.enumerate_nanos,
-        t0.elapsed().as_nanos() as u64,
-    );
-    dfs.visit(0, &mut assignment, &root);
-    dfs.flush();
-    if let Some(e) = dfs.error {
-        return Err(e);
-    }
-    let partial = dfs.partial;
-    let mut ranked = dfs.evaluated;
-    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-    Ok((ranked, partial))
-}
+/// Candidates per evaluation batch when a search can be interrupted.
+/// Constant (never derived from the worker count or core count) so the
+/// points where the deadline and cancel flag are checked — and
+/// therefore the exact set of placements a cut search has evaluated —
+/// are machine- and thread-count independent.
+pub(crate) const EVAL_BATCH: usize = 64;
 
 /// The naive oracle: rank `candidates` with one full `rewrite` +
 /// `analyze` per candidate, no delta reuse. Slow by design — this is
@@ -716,37 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn branch_and_bound_keeps_true_best() {
-        let cfg = GpuConfig::test_small();
-        let kt = vecadd::build(Scale::Test);
-        let base = kt.default_placement();
-        let profile = profile_sample(&kt, &base, &cfg).unwrap();
-        let predictor = Predictor::new(cfg);
-        let full = SearchRequest::new(&kt.arrays, &base)
-            .run(&predictor, &profile)
-            .unwrap();
-        for threads in [1, 2, 0] {
-            let bb = SearchRequest::new(&kt.arrays, &base)
-                .strategy(SearchStrategy::BranchAndBound)
-                .threads(threads)
-                .run(&predictor, &profile)
-                .unwrap();
-            let best = bb.best().expect("non-empty");
-            let truth = full.best().expect("non-empty");
-            assert_eq!(best.placement, truth.placement);
-            assert_eq!(
-                best.predicted_cycles.to_bits(),
-                truth.predicted_cycles.to_bits()
-            );
-            assert_eq!(
-                bb.stats.candidates_evaluated + bb.stats.candidates_pruned
-                    >= full.ranked.len() as u64,
-                true
-            );
-        }
-    }
-
-    #[test]
     fn validate_rejects_malformed_requests() {
         let cfg = GpuConfig::test_small();
         let kt = vecadd::build(Scale::Test);
@@ -770,28 +587,29 @@ mod tests {
 
     #[test]
     fn deadline_yields_partial_best_so_far() {
+        // wide8's space spans several evaluation batches, so a cut
+        // between batches leaves candidates unevaluated.
         let cfg = GpuConfig::test_small();
-        let kt = vecadd::build(Scale::Test);
+        let kt = hms_kernels::by_name("wide8", Scale::Test).unwrap();
         let base = kt.default_placement();
         let profile = profile_sample(&kt, &base, &cfg).unwrap();
         let predictor = Predictor::new(cfg);
-        let full = SearchRequest::new(&kt.arrays, &base)
-            .run(&predictor, &profile)
-            .unwrap();
+        let req = || SearchRequest::new(&kt.arrays, &base).limit(4 * EVAL_BATCH);
+        let full = req().run(&predictor, &profile).unwrap();
         assert!(!full.partial);
+        assert!(full.ranked.len() > EVAL_BATCH);
 
-        // An already-expired deadline: branch-and-bound still evaluates
-        // at least one leaf, flags the outcome, and every entry it does
+        // An already-expired deadline: the search still evaluates its
+        // first batch, flags the outcome, and every entry it does
         // return is bit-identical to the deadline-free prediction.
-        let bb = SearchRequest::new(&kt.arrays, &base)
-            .strategy(SearchStrategy::BranchAndBound)
+        let cut = req()
             .deadline(Some(Instant::now()))
             .run(&predictor, &profile)
             .unwrap();
-        assert!(bb.partial);
-        assert!(!bb.ranked.is_empty());
-        assert!(bb.ranked.len() < full.ranked.len());
-        for r in &bb.ranked {
+        assert!(cut.partial);
+        assert!(!cut.ranked.is_empty());
+        assert!(cut.ranked.len() < full.ranked.len());
+        for r in &cut.ranked {
             let truth = full
                 .ranked
                 .iter()
@@ -807,10 +625,7 @@ mod tests {
         // chunked evaluation path reproduces the single-batch ranking
         // bit for bit.
         let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let timed = SearchRequest::new(&kt.arrays, &base)
-            .deadline(Some(far))
-            .run(&predictor, &profile)
-            .unwrap();
+        let timed = req().deadline(Some(far)).run(&predictor, &profile).unwrap();
         assert!(!timed.partial);
         assert_eq!(timed.ranked.len(), full.ranked.len());
         for (a, b) in timed.ranked.iter().zip(&full.ranked) {

@@ -1,11 +1,11 @@
 //! Beam search over per-array placement prefixes.
 //!
-//! The branch-and-bound tree — candidate arrays in request order, each
-//! level choosing that array's standalone-legal space — is walked
+//! The placement tree — candidate arrays in request order, each level
+//! choosing that array's standalone-legal space — is walked
 //! breadth-first, but only the `width` prefixes with the smallest
 //! monotone lower bound survive a level. Surviving complete
 //! assignments are joint-validated and evaluated exactly, in
-//! deterministic `BB_BATCH` chunks.
+//! deterministic `EVAL_BATCH` chunks.
 //!
 //! Because every dropped prefix's bound is recorded, the reported gap
 //! is sound: the true optimum either survived to evaluation (then
@@ -19,7 +19,7 @@ use std::time::Instant;
 use hms_types::{MemorySpace, PlacementMap};
 
 use crate::engine::Engine;
-use crate::search::{RankedPlacement, SearchRequest, BB_BATCH};
+use crate::search::{RankedPlacement, SearchRequest, EVAL_BATCH};
 
 use super::{full_assignment, gap_from_floor};
 
@@ -101,10 +101,10 @@ pub(crate) fn run(
     let mut partial = false;
     let mut cut_at = leaves.len();
     let pms: Vec<PlacementMap> = leaves.iter().map(|p| p.pm.clone()).collect();
-    for (i, chunk) in pms.chunks(BB_BATCH).enumerate() {
+    for (i, chunk) in pms.chunks(EVAL_BATCH).enumerate() {
         if !ranked.is_empty() && req.interrupted() {
             partial = true;
-            cut_at = i * BB_BATCH;
+            cut_at = i * EVAL_BATCH;
             break;
         }
         ranked.extend(engine.evaluate_batch(chunk, req.threads)?);

@@ -23,7 +23,7 @@ use std::time::Instant;
 use hms_types::{ArrayId, MemorySpace, PlacementMap};
 
 use crate::engine::Engine;
-use crate::search::{enumerate_placements, RankedPlacement, SearchRequest, BB_BATCH};
+use crate::search::{enumerate_placements, RankedPlacement, SearchRequest, EVAL_BATCH};
 
 use super::{gap_from_floor, space_floor};
 
@@ -89,7 +89,7 @@ pub(crate) fn run(
         }
         let pms: Vec<PlacementMap> = rung.iter().map(|&i| space[i].clone()).collect();
         let mut done = 0usize;
-        for chunk in pms.chunks(BB_BATCH) {
+        for chunk in pms.chunks(EVAL_BATCH) {
             if !ranked.is_empty() && req.interrupted() {
                 partial = true;
                 break;

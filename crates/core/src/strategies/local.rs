@@ -26,7 +26,7 @@ use std::time::Instant;
 use hms_types::{MemorySpace, PlacementMap};
 
 use crate::engine::Engine;
-use crate::search::{RankedPlacement, SearchRequest, BB_BATCH};
+use crate::search::{RankedPlacement, SearchRequest, EVAL_BATCH};
 
 use super::{all_free_floor, gap_from_floor};
 
@@ -109,7 +109,7 @@ pub(crate) fn run(
         let pms: Vec<PlacementMap> = fresh.iter().map(|g| decode(g)).collect();
         c.add(&c.candidates_enumerated, pms.len() as u64);
         let mut done = 0usize;
-        for chunk in pms.chunks(BB_BATCH) {
+        for chunk in pms.chunks(EVAL_BATCH) {
             if !ranked.is_empty() && req.interrupted() {
                 partial = true;
                 break;

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! which guarantees `optimum ≤ best_found ≤ optimum × (1 + gap)`. The
-//! floors come from the branch-and-bound monotone lower bound
+//! floors come from the engine's monotone lower bound
 //! ([`Engine::lower_bound`]), which never exceeds the model's
 //! prediction for any completion of a partial assignment:
 //!
@@ -33,19 +33,19 @@
 //! * [`local`] — the all-free floor (a stochastic search proves nothing
 //!   about the space it never visited).
 //!
-//! The exact strategies report gap 0 when they complete; when a
-//! deadline cuts them short, `SearchRequest::run` falls back to the
+//! The exhaustive search reports gap 0 when it completes; when a
+//! deadline cuts it short, `SearchRequest::run` falls back to the
 //! same floor construction so a partial result still carries a sound
 //! bound.
 //!
 //! # Determinism contract
 //!
-//! All three strategies follow the branch-and-bound discipline: leaves
-//! are evaluated in fixed-size [`BB_BATCH`](crate::search::BB_BATCH)
-//! chunks, the deadline is checked **only between chunks**, and at
-//! least one chunk is always evaluated — so every returned prediction
-//! is bit-identical to what a deadline-free run would have produced,
-//! at any worker count. [`local`] goes further: the RNG stream is a
+//! All three strategies follow the exhaustive search's discipline:
+//! leaves are evaluated in fixed-size
+//! [`EVAL_BATCH`](crate::search::EVAL_BATCH) chunks, the deadline is
+//! checked **only between chunks**, and at least one chunk is always
+//! evaluated — so every returned prediction is bit-identical to what a
+//! deadline-free run would have produced, at any worker count. [`local`] goes further: the RNG stream is a
 //! pure function of the seed and consumes draws in an order independent
 //! of scheduling, so the entire outcome is bit-identical across
 //! `--threads 1/2/8`.

@@ -199,7 +199,8 @@ impl ToverlapModel {
 
     /// The largest ratio [`Self::ratio`] can return for *any* analysis —
     /// the trained clamp ceiling, or the untrained default. The search
-    /// engine's branch-and-bound lower bound relies on this:
+    /// engine's lower bound (behind the anytime strategies' gap bounds)
+    /// relies on this:
     /// `T >= T_comp + (1 - max_ratio) x T_mem` for every candidate.
     pub fn max_ratio(&self) -> f64 {
         match &self.model {

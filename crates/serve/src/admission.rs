@@ -249,8 +249,7 @@ pub fn strategy_cap(level: u8) -> Option<SearchStrategy> {
 /// Relative cost rank used by [`apply_cap`] — higher is more expensive.
 fn strategy_cost(s: &SearchStrategy) -> u8 {
     match s {
-        SearchStrategy::Exhaustive => 4,
-        SearchStrategy::BranchAndBound => 3,
+        SearchStrategy::Exhaustive | SearchStrategy::BranchAndBound => 3,
         SearchStrategy::SuccessiveHalving => 2,
         SearchStrategy::Beam { .. } => 1,
         SearchStrategy::LocalSearch { .. } => 0,

@@ -104,7 +104,7 @@ impl Histogram {
 /// the cumulative [`EngineStats`] each one reads. Deterministic fields
 /// only — wall-clock nanos stay out of the exposition so warm-cache
 /// assertions can compare exact values.
-const ENGINE_COUNTERS: [(&str, &str, fn(&EngineStats) -> u64); 13] = [
+const ENGINE_COUNTERS: [(&str, &str, fn(&EngineStats) -> u64); 12] = [
     (
         "hms_engine_full_rewrites_total",
         "Whole-trace rewrite+analyze runs across all searches.",
@@ -129,11 +129,6 @@ const ENGINE_COUNTERS: [(&str, &str, fn(&EngineStats) -> u64); 13] = [
         "hms_engine_candidates_evaluated_total",
         "Candidates evaluated by the model.",
         |s| s.candidates_evaluated,
-    ),
-    (
-        "hms_engine_candidates_pruned_total",
-        "Candidates skipped by branch-and-bound (estimate).",
-        |s| s.candidates_pruned,
     ),
     (
         "hms_engine_candidates_visited_total",
@@ -631,7 +626,6 @@ mod tests {
             full_rewrites: 1,
             delta_cache_hits: 20,
             candidates_evaluated: 21,
-            candidates_pruned: 7,
             candidates_visited: 40,
             gap_upper_bound: 0.125,
             batched_replays: 2,
@@ -656,13 +650,11 @@ mod tests {
             full_rewrites: 2,
             delta_cache_hits: 5,
             candidates_evaluated: 5,
-            candidates_pruned: 30,
             candidates_visited: 3,
             gap_upper_bound: 0.9,
             batched_replays: 1,
             lane_width: 2,
             events_streamed: 50,
-            subtrees_pruned: 4,
             ..EngineStats::default()
         };
         for s in [&exhaustive, &beam, &local, &bnb] {
@@ -686,9 +678,6 @@ hms_engine_exact_fallbacks_total 1
 # HELP hms_engine_candidates_evaluated_total Candidates evaluated by the model.
 # TYPE hms_engine_candidates_evaluated_total counter
 hms_engine_candidates_evaluated_total 101
-# HELP hms_engine_candidates_pruned_total Candidates skipped by branch-and-bound (estimate).
-# TYPE hms_engine_candidates_pruned_total counter
-hms_engine_candidates_pruned_total 37
 # HELP hms_engine_candidates_visited_total Partial assignments scored by anytime strategies.
 # TYPE hms_engine_candidates_visited_total counter
 hms_engine_candidates_visited_total 51

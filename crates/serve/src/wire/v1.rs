@@ -207,8 +207,9 @@ pub struct RankRequest {
     pub kernel: String,
     pub scale: Scale,
     pub top: usize,
-    /// Branch-and-bound instead of exhaustive (mirrors `hms search
-    /// --prune`). Always `false` for `/v1/advise`.
+    /// Ask for the `branch_and_bound` spelling of the exhaustive search
+    /// (mirrors `hms search --prune`): same ranking, that wire name.
+    /// Always `false` for `/v1/advise`.
     pub prune: bool,
     /// Worker threads for candidate evaluation (0 = all cores). Does not
     /// affect the response bytes — evaluation is thread-deterministic.
@@ -272,9 +273,8 @@ impl RankRequest {
     }
 
     /// The [`hms_core::SearchStrategy`] this request asks for.
-    /// `strategy` (with its knobs) wins; otherwise `prune` picks
-    /// branch-and-bound over exhaustive, exactly as before the anytime
-    /// strategies existed.
+    /// `strategy` (with its knobs) wins; otherwise `prune` picks the
+    /// `branch_and_bound` spelling over `exhaustive`.
     pub fn resolve_strategy(&self) -> Result<hms_core::SearchStrategy, ApiError> {
         use hms_core::SearchStrategy;
         match &self.strategy {

@@ -62,24 +62,82 @@ bench_num() {
     sed -n 's/^ *"'"$2"'": *\([0-9.eE+-]*\),*$/\1/p' "$1"
 }
 
-echo "==> search micro-benchmark (BENCH_search.json)"
-baseline_cps="$(bench_num BENCH_search.json engine_candidates_per_sec)"
-baseline_batch_cps="$(bench_num BENCH_search.json batch_candidates_per_sec)"
-[ -n "$baseline_cps" ] || { echo "no committed BENCH_search.json baseline"; exit 1; }
-[ -n "$baseline_batch_cps" ] || { echo "no committed batch baseline in BENCH_search.json"; exit 1; }
-cargo run -q -p hms-bench --release --offline --bin bench_search -- test
-current_cps="$(bench_num "$fresh/BENCH_search.json" engine_candidates_per_sec)"
-current_batch_cps="$(bench_num "$fresh/BENCH_search.json" batch_candidates_per_sec)"
-echo "    engine_candidates_per_sec: baseline=$baseline_cps current=$current_cps"
-awk -v cur="$current_cps" -v base="$baseline_cps" 'BEGIN { exit !(cur >= 0.8 * base) }' || {
+# Search gate, on advisorbench's search-warm workload (five strategies
+# over the five search kernels at Full scale, skeletons read from disk).
+# Work: one traced run does a fixed amount of work, so its counts repeat
+# exactly for a seed; each must stay at or under the committed value.
+# The replay counters (events streamed, batched replays, lane width)
+# are not gated: they move with the worker count. Time: the median
+# candidates/s of five untraced runs of 2 s each must stay within 20%
+# of the committed value.
+echo "==> search gate (advisorbench search-warm, BENCH_search.json)"
+search_t0=$SECONDS
+mkdir -p "$fresh"
+search_log="$fresh/advisorbench-search-warm.log"
+: > "$search_log"
+search_warm() {
+    cargo run -q --release --offline --manifest-path advisorbench/Cargo.toml -- \
+        --workload search-warm "$@" 2>>"$search_log" | tail -n 1
+}
+# A top-level member, or a metric's value, of advisorbench's JSON line.
+ab_field() { sed -n 's/.*"'"$2"'":\([^,}]*\).*/\1/p' "$1"; }
+ab_metric() { sed -n 's/.*"'"$2"'":{"value":\([^,}]*\).*/\1/p' "$1"; }
+ab_check() {
+    [ "$(ab_field "$1" correct)" = true ] && [ "$(ab_field "$1" failed)" = 0 ] || {
+        echo "advisorbench run $1 failed its answer checks (log: $search_log)"
+        exit 1
+    }
+}
+work_keys="engine.skeletons_built engine.full_rewrites engine.memo_tables_built
+    engine.delta_cache_hits strategy.exhaustive.candidates_evaluated
+    strategy.branch_and_bound.candidates_evaluated strategy.beam.candidates_evaluated
+    strategy.successive_halving.candidates_evaluated strategy.local_search.candidates_evaluated"
+traced="$fresh/search-warm-trace.json"
+search_warm --seed 1 --trace 1 > "$traced"
+ab_check "$traced"
+for key in engine.exact_fallbacks skelcache.disk_misses; do
+    value="$(ab_metric "$traced" "$key")"
+    echo "    $key: $value (must be 0)"
+    awk -v v="$value" 'BEGIN { exit !(v != "" && v + 0 == 0) }' || {
+        echo "$key must be 0"
+        exit 1
+    }
+done
+for key in $work_keys; do
+    base="$(bench_num BENCH_search.json "$key")"
+    cur="$(ab_metric "$traced" "$key")"
+    echo "    $key: baseline=$base current=$cur"
+    awk -v cur="$cur" -v base="$base" 'BEGIN { exit !(cur != "" && base != "" && cur <= base) }' || {
+        echo "search does more work than the committed BENCH_search.json baseline ($key)"
+        exit 1
+    }
+done
+rates=""
+for seed in 1 2 3 4 5; do
+    run="$fresh/search-warm-$seed.json"
+    search_warm --seed "$seed" --seconds 2 --trace 0 > "$run"
+    ab_check "$run"
+    rates="$rates $(ab_metric "$run" candidates_per_s)"
+done
+# Nearest-rank quartiles of the five rates: q1, median, q3.
+read -r q1 median q3 <<< "$(printf '%s\n' $rates | sort -g | awk '{ v[NR] = $1 } END { print v[2], v[3], v[4] }')"
+{
+    echo "{"
+    for key in $work_keys; do
+        echo "  \"$key\": $(ab_metric "$traced" "$key"),"
+    done
+    echo "  \"candidates_per_s\": $median"
+    echo "}"
+} > "$fresh/BENCH_search.json"
+baseline_cps="$(bench_num BENCH_search.json candidates_per_s)"
+echo "    candidates_per_s:$rates"
+echo "    candidates_per_s: baseline=$baseline_cps median=$median" \
+    "quartiles=$q1..$q3 ($(awk -v a="$q1" -v b="$q3" -v m="$median" 'BEGIN { printf "%.1f", 100 * (b - a) / m }')% of the median)"
+awk -v cur="$median" -v base="$baseline_cps" 'BEGIN { exit !(base != "" && cur >= 0.8 * base) }' || {
     echo "search throughput regressed >20% against the committed BENCH_search.json baseline"
     exit 1
 }
-echo "    batch_candidates_per_sec: baseline=$baseline_batch_cps current=$current_batch_cps"
-awk -v cur="$current_batch_cps" -v base="$baseline_batch_cps" 'BEGIN { exit !(cur >= 0.8 * base) }' || {
-    echo "batch throughput regressed >20% against the committed BENCH_search.json baseline"
-    exit 1
-}
+echo "    search gate took $((SECONDS - search_t0)) s"
 
 echo "==> anytime search gate (BENCH_anytime.json)"
 baseline_gap="$(bench_num BENCH_anytime.json gate_gap_upper_bound)"

@@ -132,8 +132,9 @@ fn local_search_is_bit_identical_across_worker_counts_on_wide_kernels() {
     }
 }
 
-/// A deadline-cut (`"partial": true`) search response must never enter
-/// the rank cache: the identical follow-up request recomputes. A
+/// A deadline-cut (`"partial": true`) or degraded search response must
+/// never enter the rank cache: the identical follow-up request
+/// recomputes. A
 /// completed search on the same server IS cached, proving the cache
 /// itself works and only partial results are excluded.
 #[test]
@@ -167,33 +168,52 @@ fn partial_deadline_cut_searches_are_never_cached() {
     assert_eq!(hits(&mut c), 1.0, "completed search must be cached");
     relaxed.shutdown();
 
-    // Partial server: 5 ms is far below what wide8's enumerated space
-    // needs under any strategy, so every search below is cut short —
-    // and none of those truncated bodies may enter the cache.
+    // Partial server: a generous wall-clock deadline, with the deadline
+    // clock skewed ahead by all of it. The skew drains every search's
+    // budget to zero, so each one is cut after its first evaluation
+    // batch however late the worker picks it up, while the wall-clock
+    // 504 check never fires. A drained budget also puts the ladder at
+    // its last level: exhaustive and halving come back degraded to
+    // local search, and a local search (already at the cap) comes back
+    // partial only. None of these bodies may enter the cache.
+    let deadline = Duration::from_secs(60);
     let tight = ServerConfig::new()
         .bind("127.0.0.1:0")
         .workers(1)
-        .deadline(Duration::from_millis(5))
+        .deadline(deadline)
         .spawn(ConfigRegistry::new("default", advisor()))
         .expect("binds");
+    tight.set_clock_skew(deadline);
     let mut c = Client::connect(tight.addr()).expect("connects");
-    for body in [
-        r#"{"kernel":"wide8","scale":"test","top":1}"#,
-        r#"{"kernel":"wide8","scale":"test","top":1,"strategy":"halving"}"#,
+    for (body, degraded) in [
+        (r#"{"kernel":"wide8","scale":"test","top":1}"#, true),
+        (
+            r#"{"kernel":"wide8","scale":"test","top":1,"strategy":"halving"}"#,
+            true,
+        ),
+        (
+            r#"{"kernel":"wide8","scale":"test","top":1,"strategy":"local"}"#,
+            false,
+        ),
     ] {
         for round in 0..2 {
             let (status, text) = c.request("POST", "/v1/search", body).expect("response");
-            assert_eq!(status, 200);
+            assert_eq!(status, 200, "round {round}: {text}");
             assert!(
                 text.contains("\"partial\": true"),
                 "round {round}: expected a deadline cut: {body}"
+            );
+            assert_eq!(
+                text.contains("\"degraded\": true"),
+                degraded,
+                "round {round}: {body} -> {text}"
             );
         }
     }
     assert_eq!(
         hits(&mut c),
         0.0,
-        "a partial search body was served from cache"
+        "a partial or degraded search body was served from cache"
     );
     tight.shutdown();
 }

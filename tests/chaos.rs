@@ -491,11 +491,13 @@ fn deadline_partial_flag_reaches_the_wire_format() {
     // Advisor::rank *is* the server's body builder (byte-identity is the
     // serve crate's core claim), so asserting on it asserts the wire.
     let adv = advisor();
+    // wide8's space spans several evaluation batches, so an expired
+    // deadline cuts the search after its first one.
     let q = RankQuery {
-        kernel: "vecadd".into(),
+        kernel: "wide8".into(),
         scale: gpu_hms::kernels::Scale::Test,
         top: 3,
-        prune: true,
+        prune: false,
         threads: 1,
         config: None,
         strategy: None,

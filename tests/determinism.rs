@@ -11,12 +11,21 @@ use gpu_hms::prelude::*;
 use hms_kernels::{registry, Scale};
 
 /// One search outcome, reduced to exactly-comparable form: the best
-/// placement and the bit pattern of every ranked prediction.
+/// placement, the bit pattern of every ranked prediction, and the
+/// engine's work counts that do not depend on the worker count (the
+/// counts the CI search gate holds at their committed values). The
+/// replay counters (`batched_replays`, `lane_width`, `events_streamed`)
+/// are left out: autosized lanes split by worker count.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     kernel: &'static str,
     best: String,
     prediction_bits: Vec<u64>,
+    skeletons_built: u64,
+    full_rewrites: u64,
+    memo_tables_built: u64,
+    delta_cache_hits: u64,
+    candidates_evaluated: u64,
 }
 
 fn search_all(threads: usize, limit: usize) -> Vec<Outcome> {
@@ -28,12 +37,12 @@ fn search_all(threads: usize, limit: usize) -> Vec<Outcome> {
             let base = kt.default_placement();
             let profile = profile_sample(&kt, &base, &cfg).unwrap();
             let predictor = Predictor::new(cfg.clone());
-            let ranked = SearchRequest::new(&kt.arrays, &base)
+            let outcome = SearchRequest::new(&kt.arrays, &base)
                 .limit(limit)
                 .threads(threads)
                 .run(&predictor, &profile)
-                .unwrap()
-                .ranked;
+                .unwrap();
+            let (ranked, stats) = (outcome.ranked, outcome.stats);
             assert!(!ranked.is_empty(), "{}: empty search space", spec.name);
             Outcome {
                 kernel: spec.name,
@@ -42,6 +51,11 @@ fn search_all(threads: usize, limit: usize) -> Vec<Outcome> {
                     .iter()
                     .map(|r| r.predicted_cycles.to_bits())
                     .collect(),
+                skeletons_built: stats.skeletons_built,
+                full_rewrites: stats.full_rewrites,
+                memo_tables_built: stats.memo_tables_built,
+                delta_cache_hits: stats.delta_cache_hits,
+                candidates_evaluated: stats.candidates_evaluated,
             }
         })
         .collect()

@@ -6,8 +6,6 @@
 //! per-`(array, space)` deltas must reproduce the naive
 //! rewrite-per-candidate path exactly — same prediction bits, same
 //! ranking, for every kernel in the registry and every worker count.
-//! Branch-and-bound pruning must additionally never cut the subtree
-//! holding the true optimum.
 
 use gpu_hms::prelude::*;
 use hms_core::Engine;
@@ -24,7 +22,8 @@ fn bits(ranked: &[hms_core::RankedPlacement]) -> Vec<(String, u64)> {
 
 /// For every registered kernel: the engine ranking over the full legal
 /// space equals the naive ranking bit for bit, at 1, 2, and all
-/// workers — and no skeleton ever fails its self-check.
+/// workers — and no skeleton ever fails its self-check. The `bnb`
+/// spelling returns that same ranking under its own wire name.
 #[test]
 fn incremental_ranking_is_bit_identical_to_naive_registry_wide() {
     let cfg = GpuConfig::test_small();
@@ -54,50 +53,19 @@ fn incremental_ranking_is_bit_identical_to_naive_registry_wide() {
                 spec.name
             );
             assert!(outcome.stats.full_rewrites <= outcome.stats.candidates_evaluated);
-        }
-    }
-}
-
-/// For every registered kernel: branch-and-bound returns the same best
-/// placement (same prediction bits) as the exhaustive search, at 1, 2,
-/// and all workers, and accounts for the whole space as either
-/// evaluated or pruned.
-#[test]
-fn branch_and_bound_never_drops_the_true_best_registry_wide() {
-    let cfg = GpuConfig::test_small();
-    for spec in registry() {
-        let kt = (spec.build)(Scale::Test);
-        let base = kt.default_placement();
-        let profile = profile_sample(&kt, &base, &cfg).unwrap();
-        let predictor = Predictor::new(cfg.clone());
-        let full = SearchRequest::new(&kt.arrays, &base)
-            .run(&predictor, &profile)
-            .unwrap();
-        let truth = full.best().expect("non-empty space");
-        for threads in [1usize, 2, 0] {
-            let bb = SearchRequest::new(&kt.arrays, &base)
-                .strategy(SearchStrategy::BranchAndBound)
+            let bnb = SearchRequest::new(&kt.arrays, &base)
+                .limit(256)
                 .threads(threads)
+                .strategy(SearchStrategy::parse("bnb", None, None).unwrap())
                 .run(&predictor, &profile)
                 .unwrap();
-            let best = bb.best().expect("non-empty space");
             assert_eq!(
-                best.placement, truth.placement,
-                "{}: pruning dropped the optimum at {threads} workers",
+                bits(&outcome.ranked),
+                bits(&bnb.ranked),
+                "{}: bnb ranking diverged from exhaustive at {threads} workers",
                 spec.name
             );
-            assert_eq!(
-                best.predicted_cycles.to_bits(),
-                truth.predicted_cycles.to_bits(),
-                "{}: best prediction drifted",
-                spec.name
-            );
-            assert!(
-                bb.stats.candidates_evaluated + bb.stats.candidates_pruned
-                    >= full.ranked.len() as u64,
-                "{}: space not fully accounted for",
-                spec.name
-            );
+            assert_eq!(bnb.stats.strategy, "branch_and_bound");
         }
     }
 }
