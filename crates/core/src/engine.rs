@@ -64,7 +64,7 @@ use crate::analysis::{
 };
 use crate::predictor::{Prediction, Predictor};
 use crate::profile::Profile;
-use crate::search::RankedPlacement;
+use crate::search::{RankedPlacement, SearchStrategy};
 use crate::tcomp::effective_throughput;
 
 /// Search observability counters, exposed through
@@ -138,8 +138,8 @@ pub struct EngineStats {
     /// decode cost batching saves.
     pub events_streamed: u64,
     /// Wire name of the strategy that produced this snapshot (see
-    /// [`SearchStrategy::name`](crate::search::SearchStrategy::name));
-    /// empty for snapshots taken outside a search.
+    /// [`SearchStrategy::name`]); empty for snapshots taken outside a
+    /// search.
     pub strategy: &'static str,
 }
 
@@ -152,13 +152,11 @@ impl EngineStats {
     }
 
     /// Whether `strategy` names one of the anytime approximate
-    /// strategies — the ones whose `candidates_visited` /
-    /// `gap_upper_bound` carry meaning (and appear on the wire).
+    /// strategies ([`SearchStrategy::is_anytime`]) — the ones whose
+    /// `candidates_visited` / `gap_upper_bound` carry meaning (and
+    /// appear on the wire).
     pub fn anytime(&self) -> bool {
-        matches!(
-            self.strategy,
-            "beam" | "successive_halving" | "local_search"
-        )
+        SearchStrategy::parse(self.strategy, None, None).is_ok_and(SearchStrategy::is_anytime)
     }
 
     /// Fold another stats snapshot into this one, field by field — how
@@ -615,7 +613,7 @@ pub(crate) struct EngineStatics {
     /// non-detailed model variants (computed once instead of per call).
     sample_analysis: Option<TraceAnalysis>,
     /// [`crate::skelcache::kernel_hash`] of `(trace, cfg)` — the disk
-    /// cache's fingerprint, precomputed so `with_disk_cache` does not
+    /// cache's fingerprint, precomputed so `with_disk_cache_fs` does not
     /// re-serialize the trace on every engine construction.
     kernel_fingerprint: u64,
     /// Base-0 delta-memo rows keyed `(array, space, block_stride)`.
@@ -974,20 +972,15 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Attach a persistent on-disk skeleton cache rooted at `dir` (see
-    /// the [`skelcache`](crate::skelcache) module docs for the file
-    /// format and invalidation rules). Every load is gated by the
-    /// format version, a kernel fingerprint, a payload checksum, and
+    /// Attach a persistent on-disk skeleton cache rooted at `dir`, with
+    /// every file operation going through `fs` (`RealFs`, or the chaos
+    /// suite's fault injector: ENOSPC, torn writes, bit-rot, rename
+    /// failure). See the [`skelcache`](crate::skelcache) module docs for
+    /// the file format and invalidation rules. Every load is gated by
+    /// the format version, a kernel fingerprint, a payload checksum, and
     /// structural validation; any failure silently rebuilds — a stale
     /// or corrupt cache can cost a rewrite, never a wrong prediction.
-    pub fn with_disk_cache(self, dir: &Path) -> Self {
-        self.with_disk_cache_fs(dir, Arc::new(crate::skelcache::RealFs))
-    }
-
-    /// [`with_disk_cache`](Self::with_disk_cache) on an injected
-    /// filesystem — the chaos suite's entry point for disk faults
-    /// (ENOSPC, torn writes, bit-rot, rename failure). Opening sweeps
-    /// stranded temp files; the count lands in
+    /// Opening sweeps stranded temp files; the count lands in
     /// [`EngineStats::skeleton_disk_tmp_swept`].
     pub fn with_disk_cache_fs(
         mut self,
@@ -1054,7 +1047,9 @@ impl<'a> Engine<'a> {
         self.counters.snapshot()
     }
 
-    fn shared_key(&self, pm: &PlacementMap) -> Vec<bool> {
+    /// Which arrays `pm` places in shared memory: the key candidates
+    /// share one walk skeleton under.
+    pub(crate) fn shared_key(&self, pm: &PlacementMap) -> Vec<bool> {
         (0..self.st.dtypes.len())
             .map(|i| pm.space(ArrayId(i as u32)) == MemorySpace::Shared)
             .collect()
@@ -1209,20 +1204,6 @@ impl<'a> Engine<'a> {
             row.items.push(item);
         }
         row
-    }
-
-    /// Get (or load from disk, or build recording one full rewrite)
-    /// the skeleton for the shared set of `canonical`.
-    fn skeleton_for(&self, canonical: &PlacementMap) -> Arc<Skeleton> {
-        let key = self.shared_key(canonical);
-        if let Some(s) = lock_cache(&self.skeletons).get(&key) {
-            return s.clone();
-        }
-        let built = self.load_or_build(canonical, &key);
-        lock_cache(&self.skeletons)
-            .entry(key)
-            .or_insert(built)
-            .clone()
     }
 
     /// Probe the persistent cache (when configured), falling back to a
@@ -1626,29 +1607,23 @@ impl<'a> Engine<'a> {
     /// Bit-identical to [`Predictor::predict`].
     pub fn predict(&self, target: &PlacementMap) -> Result<Prediction, HmsError> {
         target.validate(&self.profile.trace.arrays, &self.predictor.cfg)?;
-        let skel = self.skeleton_for(target);
+        let group = [(self.shared_key(target), vec![0])];
+        let skel = &self.prepare_groups(std::slice::from_ref(target), &group, 1)[0];
         if skel.poisoned {
-            self.counters.add(&self.counters.exact_fallbacks, 1);
-            self.counters.add(&self.counters.full_rewrites, 1);
-            return self.predictor.predict(self.profile, target);
+            return self.exact(target);
         }
-        let analysis = self.replay(&skel, target);
+        let analysis = self.replay(skel, target);
         self.counters.add(&self.counters.delta_cache_hits, 1);
-        let pred = self.predictor.predict_prepared(
-            self.profile,
-            analysis,
-            self.st.sample_analysis.as_ref(),
-        );
-        if pred.cycles.is_finite() {
-            Ok(pred)
-        } else {
-            Err(HmsError::NonFinitePrediction {
-                cycles: pred.cycles,
-                t_comp: pred.t_comp,
-                t_mem: pred.t_mem,
-                t_overlap: pred.t_overlap,
-            })
-        }
+        self.predictor
+            .predict_prepared(self.profile, analysis, self.st.sample_analysis.as_ref())
+    }
+
+    /// The exact path behind a poisoned skeleton: one full rewrite and
+    /// walk through [`Predictor::predict`], counted as a fallback.
+    fn exact(&self, target: &PlacementMap) -> Result<Prediction, HmsError> {
+        self.counters.add(&self.counters.exact_fallbacks, 1);
+        self.counters.add(&self.counters.full_rewrites, 1);
+        self.predictor.predict(self.profile, target)
     }
 
     /// Evaluate and rank `candidates` (ascending predicted time, stable
@@ -1747,11 +1722,7 @@ impl<'a> Engine<'a> {
                 let pm = &candidates[ci];
                 let r = pm
                     .validate(&self.profile.trace.arrays, &self.predictor.cfg)
-                    .and_then(|()| {
-                        self.counters.add(&self.counters.exact_fallbacks, 1);
-                        self.counters.add(&self.counters.full_rewrites, 1);
-                        self.predictor.predict(self.profile, pm).map(|p| p.cycles)
-                    });
+                    .and_then(|()| self.exact(pm).map(|p| p.cycles));
                 out.push((ci, r));
             }
             return out;
@@ -1774,21 +1745,10 @@ impl<'a> Engine<'a> {
         self.counters
             .add(&self.counters.delta_cache_hits, lanes.len() as u64);
         self.replay_batch_with(skel, &lanes, |li, analysis| {
-            let (cycles, t_comp, t_mem, t_overlap) = self.predictor.predict_parts(
-                self.profile,
-                analysis,
-                self.st.sample_analysis.as_ref(),
-            );
-            let r = if cycles.is_finite() {
-                Ok(cycles)
-            } else {
-                Err(HmsError::NonFinitePrediction {
-                    cycles,
-                    t_comp,
-                    t_mem,
-                    t_overlap,
-                })
-            };
+            let r = self
+                .predictor
+                .predict_parts(self.profile, analysis, self.st.sample_analysis.as_ref())
+                .map(|(cycles, ..)| cycles);
             out.push((lane_ci[li], r));
         });
         out

@@ -114,7 +114,7 @@ impl Predictor {
     }
 
     /// Predict the execution time of `target` given the sample
-    /// `profile`.
+    /// `profile`: one full rewrite plus one analysis walk.
     ///
     /// A model that produces a NaN or infinite time surfaces as
     /// [`HmsError::NonFinitePrediction`] rather than a poisoned float, so
@@ -125,29 +125,7 @@ impl Predictor {
         target: &PlacementMap,
     ) -> Result<Prediction, HmsError> {
         let target_trace = rewrite(&profile.trace, target, &self.cfg)?;
-        let analysis = analyze(&target_trace, &self.cfg);
-        let pred = self.predict_from_analysis(profile, analysis);
-        if pred.cycles.is_finite() {
-            Ok(pred)
-        } else {
-            Err(HmsError::NonFinitePrediction {
-                cycles: pred.cycles,
-                t_comp: pred.t_comp,
-                t_mem: pred.t_mem,
-                t_overlap: pred.t_overlap,
-            })
-        }
-    }
-
-    /// Predict from a pre-computed analysis (used by the harness to
-    /// share work across model variants).
-    pub fn predict_from_analysis(&self, profile: &Profile, analysis: TraceAnalysis) -> Prediction {
-        if self.options.detailed_instr {
-            self.predict_prepared(profile, analysis, None)
-        } else {
-            let sample_analysis = analyze(&profile.trace, &self.cfg);
-            self.predict_prepared(profile, analysis, Some(&sample_analysis))
-        }
+        self.predict_prepared(profile, analyze(&target_trace, &self.cfg), None)
     }
 
     /// Predict from a pre-computed target analysis plus an optional
@@ -162,29 +140,31 @@ impl Predictor {
         profile: &Profile,
         analysis: TraceAnalysis,
         sample_analysis: Option<&TraceAnalysis>,
-    ) -> Prediction {
+    ) -> Result<Prediction, HmsError> {
         let (cycles, t_comp, t_mem, t_overlap) =
-            self.predict_parts(profile, &analysis, sample_analysis);
-        Prediction {
+            self.predict_parts(profile, &analysis, sample_analysis)?;
+        Ok(Prediction {
             cycles,
             t_comp,
             t_mem,
             t_overlap,
             analysis,
-        }
+        })
     }
 
     /// [`predict_prepared`](Self::predict_prepared) without taking
     /// ownership of the analysis: returns `(cycles, t_comp, t_mem,
     /// t_overlap)`. The lane-batched search path predicts straight from
     /// a borrowed per-lane accumulator, skipping the per-candidate
-    /// `TraceAnalysis` clone a full [`Prediction`] would need.
+    /// `TraceAnalysis` clone a full [`Prediction`] would need. Every
+    /// prediction passes through here, so this is the one place a
+    /// non-finite time becomes [`HmsError::NonFinitePrediction`].
     pub fn predict_parts(
         &self,
         profile: &Profile,
         analysis: &TraceAnalysis,
         sample_analysis: Option<&TraceAnalysis>,
-    ) -> (f64, f64, f64, f64) {
+    ) -> Result<(f64, f64, f64, f64), HmsError> {
         let tc = tcomp(profile, analysis, &self.cfg, self.options.detailed_instr);
         let tm = tmem(profile, analysis, &self.cfg, self.options.queuing);
         // Without the detailed counting framework a model cannot know
@@ -204,7 +184,15 @@ impl Predictor {
             }
         };
         let cycles = (tc.cycles + tm.cycles - to).max(1.0);
-        (cycles, tc.cycles, tm.cycles, to)
+        if !cycles.is_finite() {
+            return Err(HmsError::NonFinitePrediction {
+                cycles,
+                t_comp: tc.cycles,
+                t_mem: tm.cycles,
+                t_overlap: to,
+            });
+        }
+        Ok((cycles, tc.cycles, tm.cycles, to))
     }
 
     /// Build one `T_overlap` training observation from a profiled

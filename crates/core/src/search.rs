@@ -23,6 +23,8 @@ use hms_types::{ArrayDef, ArrayId, GpuConfig, HmsError, MemorySpace, PlacementMa
 use crate::engine::{Engine, EngineStats};
 use crate::predictor::Predictor;
 use crate::profile::Profile;
+use crate::skelcache::{CacheFs, RealFs};
+use crate::strategies;
 
 /// Enumerate every *legal* placement of `candidates` (other arrays stay
 /// as in `base`), bounded by `limit` to keep pathological spaces in
@@ -79,7 +81,7 @@ pub struct RankedPlacement {
     pub predicted_cycles: f64,
 }
 
-/// How [`search`] covers the placement space.
+/// How [`SearchRequest::run`] covers the placement space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SearchStrategy {
     /// Enumerate every legal placement (up to the limit) and rank all of
@@ -199,8 +201,7 @@ pub struct SearchRequest<'a> {
     pub(crate) threads: usize,
     pub(crate) strategy: SearchStrategy,
     pub(crate) deadline: Option<Instant>,
-    pub(crate) skeleton_cache: Option<PathBuf>,
-    pub(crate) cache_fs: Option<Arc<dyn crate::skelcache::CacheFs>>,
+    pub(crate) skeleton_cache: Option<(PathBuf, Arc<dyn CacheFs>)>,
     pub(crate) cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -218,7 +219,6 @@ impl<'a> SearchRequest<'a> {
             strategy: SearchStrategy::default(),
             deadline: None,
             skeleton_cache: None,
-            cache_fs: None,
             cancel: None,
         }
     }
@@ -263,25 +263,19 @@ impl<'a> SearchRequest<'a> {
     }
 
     /// Persist engine skeletons under `dir` and reuse them across
-    /// processes (see [`Engine::with_disk_cache`]). Rankings are
+    /// processes (see [`Engine::with_disk_cache_fs`]). Rankings are
     /// bit-identical with a cold, warm, stale, or corrupt cache — a
     /// bad file only costs the rebuild it would have saved.
-    pub fn skeleton_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.skeleton_cache = Some(dir.into());
-        self
+    pub fn skeleton_cache(self, dir: impl Into<PathBuf>) -> Self {
+        self.skeleton_cache_fs(dir, Arc::new(RealFs))
     }
 
     /// Like [`Self::skeleton_cache`], but every cache I/O goes through
     /// `fs` instead of the real filesystem — the injection seam the
     /// robustness tests drive with `hms_faults::FaultyFs`. Rankings stay
     /// bit-identical no matter what `fs` does to the bytes.
-    pub fn skeleton_cache_fs(
-        mut self,
-        dir: impl Into<PathBuf>,
-        fs: Arc<dyn crate::skelcache::CacheFs>,
-    ) -> Self {
-        self.skeleton_cache = Some(dir.into());
-        self.cache_fs = Some(fs);
+    pub fn skeleton_cache_fs(mut self, dir: impl Into<PathBuf>, fs: Arc<dyn CacheFs>) -> Self {
+        self.skeleton_cache = Some((dir.into(), fs));
         self
     }
 
@@ -358,11 +352,8 @@ impl<'a> SearchRequest<'a> {
         self.validate()?;
         profile.validate(&predictor.cfg)?;
         let mut engine = Engine::new(predictor, profile);
-        if let Some(dir) = &self.skeleton_cache {
-            engine = match &self.cache_fs {
-                Some(fs) => engine.with_disk_cache_fs(dir, Arc::clone(fs)),
-                None => engine.with_disk_cache(dir),
-            };
+        if let Some((dir, fs)) = &self.skeleton_cache {
+            engine = engine.with_disk_cache_fs(dir, Arc::clone(fs));
         }
         let (ranked, partial, gap) = match self.strategy {
             SearchStrategy::Exhaustive | SearchStrategy::BranchAndBound => {
@@ -381,56 +372,18 @@ impl<'a> SearchRequest<'a> {
                 engine
                     .counters
                     .add(&engine.counters.candidates_enumerated, space.len() as u64);
-                // Evaluate in deterministic EVAL_BATCH chunks when the
-                // search can be interrupted, checking the clock (and the
-                // cancel flag) only between chunks so each prediction
-                // inside a chunk is computed exactly as in the
-                // uninterrupted run. With neither a deadline nor a cancel
-                // flag the whole space is one chunk.
-                let chunk = if self.interruptible() {
-                    EVAL_BATCH
-                } else {
-                    space.len().max(1)
-                };
                 let mut ranked = Vec::with_capacity(space.len());
-                let mut partial = false;
-                let mut cut_at = space.len();
-                for (i, batch) in space.chunks(chunk).enumerate() {
-                    if self.interrupted() && !ranked.is_empty() {
-                        partial = true;
-                        cut_at = i * chunk;
-                        break;
-                    }
-                    ranked.extend(engine.evaluate_batch(batch, self.threads)?);
-                }
-                ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-                // A deadline-cut exhaustive run is no longer exact:
-                // bound the gap by the cheapest unevaluated
-                // candidate's lower bound.
-                let gap = if partial {
-                    let mut floor = crate::strategies::space_floor(
-                        &engine,
-                        self,
-                        space[cut_at..].iter(),
-                        space.len() >= self.limit,
-                    );
-                    if let Some(best) = ranked.first() {
-                        floor = floor.min(best.predicted_cycles);
-                    }
-                    crate::strategies::gap_from_floor(
-                        ranked.first().map(|r| r.predicted_cycles),
-                        floor,
-                    )
-                } else {
-                    0.0
-                };
-                (ranked, partial, gap)
+                let done = strategies::evaluate_in_order(&engine, self, &space, &mut ranked)?;
+                // A cut exhaustive run is no longer exact: bound the gap
+                // by the cheapest unevaluated candidate's lower bound.
+                let partial = done < space.len();
+                let truncated = partial && space.len() >= self.limit;
+                let floor = strategies::space_floor(&engine, self, space[done..].iter(), truncated);
+                strategies::finish(ranked, partial, floor)
             }
-            SearchStrategy::Beam { width } => crate::strategies::beam::run(&engine, self, width)?,
-            SearchStrategy::SuccessiveHalving => crate::strategies::halving::run(&engine, self)?,
-            SearchStrategy::LocalSearch { seed } => {
-                crate::strategies::local::run(&engine, self, seed)?
-            }
+            SearchStrategy::Beam { width } => strategies::beam::run(&engine, self, width)?,
+            SearchStrategy::SuccessiveHalving => strategies::halving::run(&engine, self)?,
+            SearchStrategy::LocalSearch { seed } => strategies::local::run(&engine, self, seed)?,
         };
         let mut stats = engine.stats();
         stats.strategy = self.strategy.name();

@@ -4,8 +4,8 @@
 //! choosing that array's standalone-legal space — is walked
 //! breadth-first, but only the `width` prefixes with the smallest
 //! monotone lower bound survive a level. Surviving complete
-//! assignments are joint-validated and evaluated exactly, in
-//! deterministic `EVAL_BATCH` chunks.
+//! assignments are joint-validated and evaluated exactly through
+//! `evaluate_in_order`.
 //!
 //! Because every dropped prefix's bound is recorded, the reported gap
 //! is sound: the true optimum either survived to evaluation (then
@@ -19,9 +19,9 @@ use std::time::Instant;
 use hms_types::{MemorySpace, PlacementMap};
 
 use crate::engine::Engine;
-use crate::search::{RankedPlacement, SearchRequest, EVAL_BATCH};
+use crate::search::SearchRequest;
 
-use super::{full_assignment, gap_from_floor};
+use super::{evaluate_in_order, finish, full_assignment, Ranked};
 
 struct Prefix {
     assignment: Vec<Option<MemorySpace>>,
@@ -33,7 +33,7 @@ pub(crate) fn run(
     engine: &Engine<'_>,
     req: &SearchRequest<'_>,
     width: usize,
-) -> Result<(Vec<RankedPlacement>, bool, f64), hms_types::HmsError> {
+) -> Result<Ranked, hms_types::HmsError> {
     let t0 = Instant::now();
     let n = req.arrays.len();
     let c = &engine.counters;
@@ -97,26 +97,11 @@ pub(crate) fn run(
     c.add(&c.candidates_enumerated, leaves.len() as u64);
     c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
 
-    let mut ranked: Vec<RankedPlacement> = Vec::with_capacity(leaves.len());
-    let mut partial = false;
-    let mut cut_at = leaves.len();
     let pms: Vec<PlacementMap> = leaves.iter().map(|p| p.pm.clone()).collect();
-    for (i, chunk) in pms.chunks(EVAL_BATCH).enumerate() {
-        if !ranked.is_empty() && req.interrupted() {
-            partial = true;
-            cut_at = i * EVAL_BATCH;
-            break;
-        }
-        ranked.extend(engine.evaluate_batch(chunk, req.threads)?);
-    }
-    for unevaluated in &leaves[cut_at..] {
+    let mut ranked = Vec::with_capacity(pms.len());
+    let done = evaluate_in_order(engine, req, &pms, &mut ranked)?;
+    for unevaluated in &leaves[done..] {
         floor = floor.min(unevaluated.lb);
     }
-    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-
-    let best = ranked.first().map(|r| r.predicted_cycles);
-    if let Some(b) = best {
-        floor = floor.min(b);
-    }
-    Ok((ranked, partial, gap_from_floor(best, floor)))
+    Ok(finish(ranked, done < pms.len(), floor))
 }

@@ -20,12 +20,12 @@
 
 use std::time::Instant;
 
-use hms_types::{ArrayId, MemorySpace, PlacementMap};
+use hms_types::PlacementMap;
 
 use crate::engine::Engine;
-use crate::search::{enumerate_placements, RankedPlacement, SearchRequest, EVAL_BATCH};
+use crate::search::{enumerate_placements, SearchRequest};
 
-use super::{gap_from_floor, space_floor};
+use super::{evaluate_in_order, finish, space_floor, Ranked};
 
 struct Arm {
     /// Indices into the enumerated space, in enumeration order.
@@ -39,9 +39,8 @@ struct Arm {
 pub(crate) fn run(
     engine: &Engine<'_>,
     req: &SearchRequest<'_>,
-) -> Result<(Vec<RankedPlacement>, bool, f64), hms_types::HmsError> {
+) -> Result<Ranked, hms_types::HmsError> {
     let t0 = Instant::now();
-    let n = req.arrays.len();
     let c = &engine.counters;
     let cfg = &engine.predictor().cfg;
     let space = enumerate_placements(req.arrays, req.base, &req.candidates, cfg, req.limit);
@@ -53,9 +52,7 @@ pub(crate) fn run(
     // deduplicated enumeration) keeps arm identity deterministic.
     let mut arms: Vec<(Vec<bool>, Arm)> = Vec::new();
     for (i, pm) in space.iter().enumerate() {
-        let key: Vec<bool> = (0..n)
-            .map(|j| pm.space(ArrayId(j as u32)) == MemorySpace::Shared)
-            .collect();
+        let key = engine.shared_key(pm);
         match arms.iter_mut().find(|(k, _)| *k == key) {
             Some((_, arm)) => arm.members.push(i),
             None => arms.push((
@@ -72,7 +69,7 @@ pub(crate) fn run(
     c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
 
     let mut evaluated = vec![false; space.len()];
-    let mut ranked: Vec<RankedPlacement> = Vec::with_capacity(space.len());
+    let mut ranked = Vec::with_capacity(space.len());
     let mut per_arm = 1usize;
     let mut partial = false;
     'rungs: loop {
@@ -88,15 +85,8 @@ pub(crate) fn run(
             break; // survivors fully evaluated
         }
         let pms: Vec<PlacementMap> = rung.iter().map(|&i| space[i].clone()).collect();
-        let mut done = 0usize;
-        for chunk in pms.chunks(EVAL_BATCH) {
-            if !ranked.is_empty() && req.interrupted() {
-                partial = true;
-                break;
-            }
-            ranked.extend(engine.evaluate_batch(chunk, req.threads)?);
-            done += chunk.len();
-        }
+        let done = evaluate_in_order(engine, req, &pms, &mut ranked)?;
+        partial = done < pms.len();
         // Credit results back to their arms (rung order is arm-major,
         // so a prefix of `rung` maps to per-arm cursor advances).
         for (&idx, r) in rung[..done].iter().zip(&ranked[ranked.len() - done..]) {
@@ -132,16 +122,11 @@ pub(crate) fn run(
         per_arm = per_arm.saturating_mul(2);
     }
 
-    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
     let unevaluated = space
         .iter()
         .enumerate()
         .filter(|&(i, _)| !evaluated[i])
         .map(|(_, pm)| pm);
-    let mut floor = space_floor(engine, req, unevaluated, truncated);
-    let best = ranked.first().map(|r| r.predicted_cycles);
-    if let Some(b) = best {
-        floor = floor.min(b);
-    }
-    Ok((ranked, partial, gap_from_floor(best, floor)))
+    let floor = space_floor(engine, req, unevaluated, truncated);
+    Ok(finish(ranked, partial, floor))
 }

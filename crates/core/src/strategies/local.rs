@@ -26,9 +26,9 @@ use std::time::Instant;
 use hms_types::{MemorySpace, PlacementMap};
 
 use crate::engine::Engine;
-use crate::search::{RankedPlacement, SearchRequest, EVAL_BATCH};
+use crate::search::SearchRequest;
 
-use super::{all_free_floor, gap_from_floor};
+use super::{all_free_floor, evaluate_in_order, finish, Ranked};
 
 const POP: usize = 24;
 const GENERATIONS: usize = 16;
@@ -39,7 +39,7 @@ pub(crate) fn run(
     engine: &Engine<'_>,
     req: &SearchRequest<'_>,
     seed: u64,
-) -> Result<(Vec<RankedPlacement>, bool, f64), hms_types::HmsError> {
+) -> Result<Ranked, hms_types::HmsError> {
     let t0 = Instant::now();
     let c = &engine.counters;
     let cfg = &engine.predictor().cfg;
@@ -96,7 +96,7 @@ pub(crate) fn run(
     let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
     // Evaluated pool across all generations, in evaluation order.
     let mut pool: Vec<(f64, Vec<usize>)> = Vec::new();
-    let mut ranked: Vec<RankedPlacement> = Vec::new();
+    let mut ranked = Vec::new();
     let mut partial = false;
     'generations: for _gen in 0..GENERATIONS {
         c.add(&c.candidates_visited, population.len() as u64);
@@ -108,20 +108,13 @@ pub(crate) fn run(
         }
         let pms: Vec<PlacementMap> = fresh.iter().map(|g| decode(g)).collect();
         c.add(&c.candidates_enumerated, pms.len() as u64);
-        let mut done = 0usize;
-        for chunk in pms.chunks(EVAL_BATCH) {
-            if !ranked.is_empty() && req.interrupted() {
-                partial = true;
-                break;
-            }
-            let evaluated = engine.evaluate_batch(chunk, req.threads)?;
-            for (r, genome) in evaluated.iter().zip(&fresh[done..]) {
-                pool.push((r.predicted_cycles, genome.clone()));
-            }
-            done += chunk.len();
-            ranked.extend(evaluated);
+        let start = ranked.len();
+        let done = evaluate_in_order(engine, req, &pms, &mut ranked)?;
+        for (r, genome) in ranked[start..].iter().zip(fresh) {
+            pool.push((r.predicted_cycles, genome));
         }
-        if partial {
+        if done < pms.len() {
+            partial = true;
             break 'generations;
         }
 
@@ -155,11 +148,5 @@ pub(crate) fn run(
         }
     }
 
-    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
-    let best = ranked.first().map(|r| r.predicted_cycles);
-    let mut floor = all_free_floor(engine, req);
-    if let Some(b) = best {
-        floor = floor.min(b);
-    }
-    Ok((ranked, partial, gap_from_floor(best, floor)))
+    Ok(finish(ranked, partial, all_free_floor(engine, req)))
 }

@@ -40,33 +40,82 @@
 //!
 //! # Determinism contract
 //!
-//! All three strategies follow the exhaustive search's discipline:
-//! leaves are evaluated in fixed-size
-//! [`EVAL_BATCH`](crate::search::EVAL_BATCH) chunks, the deadline is
-//! checked **only between chunks**, and at least one chunk is always
-//! evaluated — so every returned prediction is bit-identical to what a
-//! deadline-free run would have produced, at any worker count. [`local`] goes further: the RNG stream is a
-//! pure function of the seed and consumes draws in an order independent
-//! of scheduling, so the entire outcome is bit-identical across
-//! `--threads 1/2/8`.
+//! Every candidate, whichever strategy proposed it, is evaluated
+//! through one function, `evaluate_in_order`. Its chunk rule: a
+//! request with a deadline or a cancel flag is evaluated in fixed-size
+//! `EVAL_BATCH` chunks, the deadline and flag are checked **only
+//! between chunks**, and at least one chunk is always evaluated; a
+//! request with neither is one batch. So every
+//! returned prediction is bit-identical to what an uninterrupted run
+//! would have produced, at any worker count, and `finish` turns each
+//! strategy's ranking and floor into the outcome the same way.
+//! [`local`] goes further: the RNG stream is a pure function of the
+//! seed and consumes draws in an order independent of scheduling, so
+//! the entire outcome is bit-identical across `--threads 1/2/8`.
 
 pub mod beam;
 pub mod halving;
 pub mod local;
 
-use hms_types::{ArrayId, MemorySpace, PlacementMap};
+use hms_types::{ArrayId, HmsError, MemorySpace, PlacementMap};
 
 use crate::engine::Engine;
-use crate::search::SearchRequest;
+use crate::search::{RankedPlacement, SearchRequest, EVAL_BATCH};
 
-/// The gap implied by a best-found cost and a sound floor on the
-/// optimum. `None` (no legal candidate evaluated) reports 0 — there is
-/// nothing to bound.
-pub(crate) fn gap_from_floor(best: Option<f64>, floor: f64) -> f64 {
-    match best {
-        Some(b) if floor > 0.0 && floor.is_finite() => (b / floor - 1.0).max(0.0),
-        _ => 0.0,
+/// What every strategy returns: the best-first ranking, whether an
+/// interruption cut it short, and the gap upper bound.
+pub(crate) type Ranked = (Vec<RankedPlacement>, bool, f64);
+
+/// Evaluate `candidates` in order, appending each prediction to
+/// `ranked`, and return how many were evaluated. Every strategy's
+/// evaluations go through here, so this is the one place a search is
+/// interrupted: an interruptible request is evaluated in
+/// [`EVAL_BATCH`] chunks and the deadline and cancel flag are checked
+/// only between chunks, once something is ranked; any other request is
+/// one batch. Either way each prediction is bit-identical to an
+/// uninterrupted run's. Fewer than `candidates.len()` means the search
+/// was interrupted.
+pub(crate) fn evaluate_in_order(
+    engine: &Engine<'_>,
+    req: &SearchRequest<'_>,
+    candidates: &[PlacementMap],
+    ranked: &mut Vec<RankedPlacement>,
+) -> Result<usize, HmsError> {
+    let chunk = if req.interruptible() {
+        EVAL_BATCH
+    } else {
+        candidates.len().max(1)
+    };
+    let mut done = 0;
+    for batch in candidates.chunks(chunk) {
+        if !ranked.is_empty() && req.interrupted() {
+            break;
+        }
+        ranked.extend(engine.evaluate_batch(batch, req.threads)?);
+        done += batch.len();
     }
+    Ok(done)
+}
+
+/// Sort `ranked` best-first and turn `floor` — a sound lower bound on
+/// everything the search did not evaluate — into the gap upper bound.
+/// The floor is first lowered to the best found, so a search that left
+/// nothing unevaluated (floor ∞) reports 0, as does one that ranked
+/// nothing.
+pub(crate) fn finish(mut ranked: Vec<RankedPlacement>, partial: bool, floor: f64) -> Ranked {
+    ranked.sort_by(|a, b| a.predicted_cycles.total_cmp(&b.predicted_cycles));
+    let gap = match ranked.first() {
+        Some(best) => {
+            let floor = floor.min(best.predicted_cycles);
+            if floor > 0.0 && floor.is_finite() {
+                (best.predicted_cycles / floor - 1.0).max(0.0)
+            } else {
+                0.0
+            }
+        }
+        None => 0.0,
+    };
+    (ranked, partial, gap)
 }
 
 /// The partial-assignment template for a request: candidate arrays
@@ -123,7 +172,7 @@ mod tests {
 
     use crate::predictor::Predictor;
     use crate::profile::profile_sample;
-    use crate::search::{SearchRequest, SearchStrategy};
+    use crate::search::{SearchRequest, SearchStrategy, EVAL_BATCH};
 
     fn setup() -> (Predictor, crate::profile::Profile, Vec<hms_types::ArrayDef>) {
         let cfg = GpuConfig::test_small();
@@ -230,7 +279,7 @@ mod tests {
         let cfg = GpuConfig::test_small();
         let kt = hms_kernels::by_name("wide4", hms_kernels::Scale::Test).unwrap();
         let profile = profile_sample(&kt, &kt.default_placement(), &cfg).unwrap();
-        let predictor = Predictor::new(cfg);
+        let predictor = Predictor::new(cfg.clone());
         let base = profile.trace.placement.clone();
         for strategy in all_strategies() {
             let out = SearchRequest::new(&kt.arrays, &base)
@@ -246,6 +295,66 @@ mod tests {
                 "{strategy:?}: bad gap {}",
                 out.stats.gap_upper_bound
             );
+        }
+
+        // The chunk rule: a far-future deadline evaluates in EVAL_BATCH
+        // chunks, no deadline in one batch, and both must rank, bound
+        // and count work identically. wide8's exhaustive space, a beam
+        // wider than a chunk and halving's last rungs all span several
+        // chunks; local search's generations fit in one.
+        let kt = hms_kernels::by_name("wide8", hms_kernels::Scale::Test).unwrap();
+        let profile = profile_sample(&kt, &kt.default_placement(), &cfg).unwrap();
+        let base = profile.trace.placement.clone();
+        let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+        for strategy in [
+            SearchStrategy::Exhaustive,
+            SearchStrategy::Beam {
+                width: 3 * EVAL_BATCH,
+            },
+            SearchStrategy::SuccessiveHalving,
+            SearchStrategy::LocalSearch { seed: 7 },
+        ] {
+            let run = |deadline| {
+                SearchRequest::new(&kt.arrays, &base)
+                    .read_only_candidates()
+                    .strategy(strategy)
+                    .deadline(deadline)
+                    .run(&predictor, &profile)
+                    .unwrap()
+            };
+            let (chunked, whole) = (run(Some(far)), run(None));
+            let s = |o: &crate::search::SearchOutcome| {
+                let t = &o.stats;
+                (
+                    o.partial,
+                    t.gap_upper_bound.to_bits(),
+                    t.candidates_enumerated,
+                    t.candidates_visited,
+                    t.candidates_evaluated,
+                    t.skeletons_built,
+                    t.full_rewrites,
+                    t.memo_tables_built,
+                    t.delta_cache_hits,
+                )
+            };
+            assert_eq!(s(&chunked), s(&whole), "{strategy:?}");
+            assert!(!whole.partial);
+            assert_eq!(whole.stats.candidates_evaluated, whole.ranked.len() as u64);
+            let bits = |o: &crate::search::SearchOutcome| -> Vec<_> {
+                o.ranked
+                    .iter()
+                    .map(|r| (r.placement.clone(), r.predicted_cycles.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&chunked), bits(&whole), "{strategy:?}");
+            // Nothing evaluated twice, and exhaustive skips nothing.
+            let mut placements: Vec<_> = bits(&whole).into_iter().map(|(p, _)| p).collect();
+            placements.sort_by_key(|p| format!("{p:?}"));
+            placements.dedup();
+            assert_eq!(placements.len(), whole.ranked.len(), "{strategy:?}");
+            if strategy == SearchStrategy::Exhaustive {
+                assert_eq!(whole.stats.candidates_enumerated, whole.ranked.len() as u64);
+            }
         }
     }
 

@@ -14,7 +14,7 @@
 use hms_types::DramTimingConfig;
 
 use crate::bank::{AccessKind, BankState};
-use crate::mapping::AddressMapping;
+use crate::mapping::{AddressMapping, DecodePlan};
 use crate::stats::DramStats;
 
 /// Completion information for one DRAM request.
@@ -37,6 +37,8 @@ pub struct DramRequestResult {
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     mapping: AddressMapping,
+    /// `mapping` compiled once, so a request's decode is a few run ops.
+    plan: DecodePlan,
     timing: DramTimingConfig,
     banks: Vec<BankState>,
     stats: DramStats,
@@ -57,6 +59,7 @@ impl MemoryController {
             mapping.total_banks, nb
         );
         MemoryController {
+            plan: mapping.plan(),
             mapping,
             timing,
             banks: vec![BankState::default(); nb as usize],
@@ -86,7 +89,7 @@ impl MemoryController {
             }
             self.next_refresh += self.timing.refresh_interval_cycles;
         }
-        let d = self.mapping.decode(addr);
+        let d = self.plan.decode(addr);
         let bank = &mut self.banks[d.bank as usize];
         let (bank_done, kind, queuing) = bank.service(arrival, d.row, &self.timing);
         // Data transfer occupies the channel bus for one burst. At the
@@ -96,8 +99,7 @@ impl MemoryController {
         // fixed transfer-time addend.
         let complete_at = bank_done + self.timing.burst_cycles;
         let latency = complete_at - arrival;
-        self.stats
-            .record(d.bank, arrival, kind, queuing, latency, 0);
+        self.stats.record(d.bank, arrival, kind, queuing, latency);
         DramRequestResult {
             complete_at,
             latency,

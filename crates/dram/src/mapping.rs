@@ -124,9 +124,6 @@ impl AddressMapping {
             col_runs: DecodePlan::compile_runs(&self.col_bit_positions),
             row_runs: DecodePlan::compile_runs(&self.row_bit_positions),
             other_runs: DecodePlan::compile_runs(&other_bit_positions),
-            col_bit_positions: self.col_bit_positions.clone(),
-            row_bit_positions: self.row_bit_positions.clone(),
-            other_bit_positions,
             total_banks: u64::from(self.total_banks),
         }
     }
@@ -173,9 +170,6 @@ pub struct DecodePlan {
     col_runs: Vec<GatherRun>,
     row_runs: Vec<GatherRun>,
     other_runs: Vec<GatherRun>,
-    col_bit_positions: Vec<u32>,
-    row_bit_positions: Vec<u32>,
-    other_bit_positions: Vec<u32>,
     total_banks: u64,
 }
 

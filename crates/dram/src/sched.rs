@@ -76,8 +76,9 @@ pub fn schedule_batch(
     let nb = mapping.total_banks as usize;
     // Partition by bank, remembering original indices.
     let mut per_bank: Vec<Vec<(usize, u64, u64)>> = vec![Vec::new(); nb]; // (idx, arrival, row)
+    let plan = mapping.plan();
     for (i, r) in requests.iter().enumerate() {
-        let d = mapping.decode(r.addr);
+        let d = plan.decode(r.addr);
         per_bank[d.bank as usize].push((i, r.arrival, d.row));
     }
 

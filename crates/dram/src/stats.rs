@@ -17,8 +17,6 @@ pub struct BankStats {
     pub conflicts: u64,
     pub total_queuing: u64,
     pub total_latency: u64,
-    /// Cycles spent waiting for the channel data bus after bank service.
-    pub total_bus_wait: u64,
 }
 
 /// Device-wide DRAM statistics.
@@ -47,7 +45,6 @@ impl DramStats {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn record(
         &mut self,
         bank: u32,
@@ -55,7 +52,6 @@ impl DramStats {
         kind: AccessKind,
         queuing: u64,
         latency: u64,
-        bus_wait: u64,
     ) {
         let b = &mut self.banks[bank as usize];
         b.requests += 1;
@@ -66,7 +62,6 @@ impl DramStats {
         }
         b.total_queuing += queuing;
         b.total_latency += latency;
-        b.total_bus_wait += bus_wait;
         if self.record_arrivals {
             self.arrivals[bank as usize].push(arrival);
         }
@@ -95,15 +90,6 @@ impl DramStats {
             return 0.0;
         }
         self.banks.iter().map(|b| b.total_latency).sum::<u64>() as f64 / reqs as f64
-    }
-
-    /// Mean channel-bus wait over all requests, or 0.
-    pub fn mean_bus_wait(&self) -> f64 {
-        let reqs = self.total_requests();
-        if reqs == 0 {
-            return 0.0;
-        }
-        self.banks.iter().map(|b| b.total_bus_wait).sum::<u64>() as f64 / reqs as f64
     }
 
     /// Mean queuing delay over all requests, or 0.
@@ -148,9 +134,9 @@ mod tests {
     #[test]
     fn records_and_totals() {
         let mut s = DramStats::new(4, true);
-        s.record(0, 0, AccessKind::Miss, 0, 417, 0);
-        s.record(0, 10, AccessKind::Hit, 5, 203, 2);
-        s.record(2, 20, AccessKind::Conflict, 0, 566, 0);
+        s.record(0, 0, AccessKind::Miss, 0, 417);
+        s.record(0, 10, AccessKind::Hit, 5, 203);
+        s.record(2, 20, AccessKind::Conflict, 0, 566);
         assert_eq!(s.total_requests(), 3);
         assert_eq!(s.row_buffer_totals(), (1, 1, 1));
         assert_eq!(s.interarrival_times(0), vec![10]);
@@ -160,14 +146,13 @@ mod tests {
         assert!((d[2] - 1.0 / 3.0).abs() < 1e-12);
         assert!((s.mean_latency() - (417.0 + 203.0 + 566.0) / 3.0).abs() < 1e-9);
         assert!((s.mean_queuing() - 5.0 / 3.0).abs() < 1e-9);
-        assert!((s.mean_bus_wait() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn arrivals_not_recorded_when_disabled() {
         let mut s = DramStats::new(2, false);
-        s.record(0, 0, AccessKind::Miss, 0, 417, 0);
-        s.record(0, 5, AccessKind::Hit, 0, 198, 0);
+        s.record(0, 0, AccessKind::Miss, 0, 417);
+        s.record(0, 5, AccessKind::Hit, 0, 198);
         assert!(s.interarrival_times(0).is_empty());
         assert_eq!(s.total_requests(), 2);
     }

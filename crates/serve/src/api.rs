@@ -75,12 +75,11 @@ pub struct Advisor {
     pub predictor: Predictor,
     kernels: Mutex<HashMap<(String, Scale), Arc<KernelTrace>>>,
     profiles: ShardedLru<(String, Scale), Arc<Profile>>,
-    /// When set, search engines persist their skeletons here so a
-    /// restarted server warm-starts instead of re-recording walks.
-    skeleton_cache: Option<std::path::PathBuf>,
-    /// When set, skeleton-cache I/O goes through this filesystem — the
-    /// fault-injection seam the chaos tests drive with a `FaultyFs`.
-    skeleton_fs: Option<Arc<dyn hms_core::CacheFs>>,
+    /// When set, search engines persist their skeletons in this
+    /// directory, through this filesystem (the fault-injection seam the
+    /// chaos tests drive with a `FaultyFs`), so a restarted server
+    /// warm-starts instead of re-recording walks.
+    skeleton_cache: Option<(std::path::PathBuf, Arc<dyn hms_core::CacheFs>)>,
 }
 
 /// What serving one query cost — the hooks the server turns into
@@ -104,7 +103,6 @@ impl Advisor {
             kernels: Mutex::new(HashMap::new()),
             profiles: ShardedLru::new(64, 8),
             skeleton_cache: None,
-            skeleton_fs: None,
         }
     }
 
@@ -112,9 +110,8 @@ impl Advisor {
     /// process restarts. Responses are byte-identical with or without
     /// the cache (stale/corrupt entries silently rebuild), so this is
     /// purely a latency knob for the first search after a restart.
-    pub fn with_skeleton_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.skeleton_cache = Some(dir.into());
-        self
+    pub fn with_skeleton_cache(self, dir: impl Into<std::path::PathBuf>) -> Self {
+        self.with_skeleton_cache_fs(dir, Arc::new(hms_core::RealFs))
     }
 
     /// Like [`Self::with_skeleton_cache`], but with an injected cache
@@ -126,8 +123,7 @@ impl Advisor {
         dir: impl Into<std::path::PathBuf>,
         fs: Arc<dyn hms_core::CacheFs>,
     ) -> Self {
-        self.skeleton_cache = Some(dir.into());
-        self.skeleton_fs = Some(fs);
+        self.skeleton_cache = Some((dir.into(), fs));
         self
     }
 
@@ -289,11 +285,8 @@ impl Advisor {
         if let Some(flag) = cancel {
             req = req.cancel_flag(flag);
         }
-        if let Some(dir) = &self.skeleton_cache {
-            req = match &self.skeleton_fs {
-                Some(fs) => req.skeleton_cache_fs(dir.clone(), Arc::clone(fs)),
-                None => req.skeleton_cache(dir.clone()),
-            };
+        if let Some((dir, fs)) = &self.skeleton_cache {
+            req = req.skeleton_cache_fs(dir.clone(), Arc::clone(fs));
         }
         let outcome = req.run(&self.predictor, &profile)?;
         let body = RankResponse {

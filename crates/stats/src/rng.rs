@@ -124,13 +124,6 @@ impl Rng {
             *d = self.next_u64();
         }
     }
-
-    /// Fill a slice with uniform `[0, 1)` doubles.
-    pub fn fill_f64(&mut self, dest: &mut [f64]) {
-        for d in dest {
-            *d = self.gen_f64();
-        }
-    }
 }
 
 /// Integer range types accepted by [`Rng::gen_range`].
@@ -294,9 +287,6 @@ mod tests {
         let mut buf = [0u64; 16];
         rng.fill(&mut buf);
         assert!(buf.iter().any(|&x| x != 0));
-        let mut fs = [0.0f64; 16];
-        rng.fill_f64(&mut fs);
-        assert!(fs.iter().all(|&x| (0.0..1.0).contains(&x)));
     }
 
     #[test]

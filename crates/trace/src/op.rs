@@ -140,27 +140,6 @@ impl KernelTrace {
     pub fn default_placement(&self) -> PlacementMap {
         PlacementMap::all_global(self.arrays.len())
     }
-
-    /// Total symbolic operations across warps (diagnostic).
-    pub fn total_ops(&self) -> usize {
-        self.warps.iter().map(|w| w.ops.len()).sum()
-    }
-
-    /// Executed (non-replayed, non-addressing) instructions of one warp
-    /// trace: ALU/SFU counts plus one per memory access and barrier.
-    /// `AddrCalc` and `WaitLoads` contribute nothing — the former is
-    /// placement-dependent, the latter is a scheduling annotation.
-    pub fn executed_instrs(ops: &[SymOp]) -> u64 {
-        ops.iter()
-            .map(|op| match op {
-                SymOp::IntAlu(n) | SymOp::FpAlu(n) | SymOp::Fp64(n) | SymOp::Sfu(n) => {
-                    u64::from(*n)
-                }
-                SymOp::Access(_) | SymOp::SyncThreads | SymOp::Local { .. } => 1,
-                SymOp::AddrCalc { .. } | SymOp::WaitLoads => 0,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -189,23 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn executed_instruction_counting() {
-        let ops = vec![
-            SymOp::AddrCalc {
-                array: ArrayId(0),
-                count: 1,
-            },
-            SymOp::Access(MemRef::load_lin(ArrayId(0), 0..32)),
-            SymOp::WaitLoads,
-            SymOp::FpAlu(3),
-            SymOp::IntAlu(2),
-            SymOp::SyncThreads,
-        ];
-        // 1 access + 3 fp + 2 int + 1 sync = 7.
-        assert_eq!(KernelTrace::executed_instrs(&ops), 7);
-    }
-
-    #[test]
     fn kernel_trace_defaults() {
         let kt = KernelTrace {
             name: "t".into(),
@@ -218,6 +180,5 @@ mod tests {
             }],
         };
         assert_eq!(kt.default_placement().len(), 1);
-        assert_eq!(kt.total_ops(), 1);
     }
 }
