@@ -37,13 +37,15 @@
 //!   `/readyz` takes to report plain `ready` once the skew clears).
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use hms_bench::Histogram;
 use hms_core::Predictor;
-use hms_faults::{retry_with_backoff, BackoffPolicy, Client, FaultClient, FaultOutcome, FaultPlan};
+use hms_faults::{
+    read_response, retry_with_backoff, BackoffPolicy, Client, FaultClient, FaultOutcome, FaultPlan,
+};
 use hms_serve::{Advisor, ConfigRegistry, Json, Metrics, ServerConfig};
 use hms_stats::rng::Rng;
 use hms_types::GpuConfig;
@@ -556,31 +558,8 @@ fn storm(addr: SocketAddr, n: usize) -> Vec<String> {
         .into_iter()
         .map(|s| {
             s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-            let mut reader = BufReader::new(s);
-            let mut status_line = String::new();
-            reader.read_line(&mut status_line).expect("storm status");
-            assert!(
-                status_line.contains("200"),
-                "storm request failed: {status_line}"
-            );
-            let mut content_length = 0usize;
-            loop {
-                let mut line = String::new();
-                reader.read_line(&mut line).expect("storm header");
-                let line = line.trim_end();
-                if line.is_empty() {
-                    break;
-                }
-                if let Some(v) = line
-                    .to_ascii_lowercase()
-                    .strip_prefix("content-length:")
-                    .map(str::trim)
-                {
-                    content_length = v.parse().expect("storm length");
-                }
-            }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).expect("storm body");
+            let (status, body) = read_response(&mut BufReader::new(s)).expect("storm response");
+            assert_eq!(status, 200, "storm request failed");
             String::from_utf8(body).expect("storm utf8")
         })
         .collect()

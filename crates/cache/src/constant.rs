@@ -24,24 +24,18 @@ pub struct ConstAccessResult {
     pub missed_lines: Vec<u64>,
 }
 
-/// Per-SM constant cache.
+/// Per-SM constant cache. It keeps no lifetime counters: each access
+/// returns its own transactions and misses, which is all any caller
+/// reads.
 #[derive(Debug, Clone)]
 pub struct ConstantCache {
     cache: SetAssocCache,
-    warp_accesses: u64,
-    transactions: u64,
-    misses: u64,
-    divergence_replays: u64,
 }
 
 impl ConstantCache {
     pub fn new(geometry: CacheGeometry) -> Self {
         ConstantCache {
             cache: SetAssocCache::new(geometry),
-            warp_accesses: 0,
-            transactions: 0,
-            misses: 0,
-            divergence_replays: 0,
         }
     }
 
@@ -88,9 +82,6 @@ impl ConstantCache {
         if words.is_empty() {
             return (0, 0);
         }
-        self.warp_accesses += 1;
-        let transactions = words.len() as u32;
-
         let mut misses = 0u32;
         let line = self.cache.geometry().line_bytes;
         // Each distinct word probes the cache (line granularity inside).
@@ -103,27 +94,7 @@ impl ConstantCache {
                 }
             }
         }
-        let divergence = transactions - 1;
-        self.transactions += u64::from(transactions);
-        self.misses += u64::from(misses);
-        self.divergence_replays += u64::from(divergence);
-        (transactions, misses)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
-
-    pub fn divergence_replays(&self) -> u64 {
-        self.divergence_replays
-    }
-
-    pub fn warp_accesses(&self) -> u64 {
-        self.warp_accesses
+        (words.len() as u32, misses)
     }
 
     pub fn flush(&mut self) {
@@ -135,10 +106,6 @@ impl ConstantCache {
     /// allocations across replays.
     pub fn reset(&mut self) {
         self.cache.reset();
-        self.warp_accesses = 0;
-        self.transactions = 0;
-        self.misses = 0;
-        self.divergence_replays = 0;
     }
 
     /// The geometry this cache was built with.
@@ -200,7 +167,8 @@ mod tests {
         let r = c.access_warp(&[]);
         assert_eq!(r, ConstAccessResult::default());
         assert_eq!(c.access_words(&[]), ConstAccessResult::default());
-        assert_eq!(c.warp_accesses(), 0);
+        // The empty accesses touched nothing: the first real one is cold.
+        assert_eq!(c.access_warp(&[0]).misses, 1);
     }
 
     #[test]
@@ -216,12 +184,6 @@ mod tests {
             words.dedup();
             assert_eq!(via_warp.access_warp(addrs), via_words.access_words(&words));
         }
-        assert_eq!(via_warp.transactions(), via_words.transactions());
-        assert_eq!(via_warp.misses(), via_words.misses());
-        assert_eq!(
-            via_warp.divergence_replays(),
-            via_words.divergence_replays()
-        );
     }
 
     impl ConstAccessResult {

@@ -3,8 +3,10 @@
 //! "Texture, constant, and global memories share a last-level L2 cache
 //! distributed over multiple streaming multiprocessors" (paper Section
 //! II-A). Placement moves between those spaces therefore *interfere* in
-//! L2 — one of the caching effects the models must capture — so the L2
-//! tracks transactions and misses per traffic source.
+//! L2 — one of the caching effects the models must capture. The L2
+//! counts transactions per traffic source (the simulator reports the
+//! texture path's share) and misses in total (the `L2_miss` event and
+//! the AMAT miss ratio).
 
 use hms_types::CacheGeometry;
 
@@ -31,12 +33,12 @@ impl L2Source {
     }
 }
 
-/// The shared L2 with per-source accounting.
+/// The shared L2 with per-source transaction counts.
 #[derive(Debug, Clone)]
 pub struct L2Cache {
     cache: SetAssocCache,
     accesses: [u64; L2Source::COUNT],
-    misses: [u64; L2Source::COUNT],
+    misses: u64,
 }
 
 impl L2Cache {
@@ -44,7 +46,7 @@ impl L2Cache {
         L2Cache {
             cache: SetAssocCache::new(geometry),
             accesses: [0; L2Source::COUNT],
-            misses: [0; L2Source::COUNT],
+            misses: 0,
         }
     }
 
@@ -60,7 +62,7 @@ impl L2Cache {
         let out = self.cache.access_rw(addr, write);
         self.accesses[source.idx()] += 1;
         if !out.is_hit() {
-            self.misses[source.idx()] += 1;
+            self.misses += 1;
         }
         out
     }
@@ -80,22 +82,9 @@ impl L2Cache {
         self.accesses[source.idx()]
     }
 
+    /// Total L2 misses (the `L2_miss` event; every miss goes to DRAM).
     pub fn misses(&self) -> u64 {
-        self.misses.iter().sum()
-    }
-
-    pub fn misses_from(&self, source: L2Source) -> u64 {
-        self.misses[source.idx()]
-    }
-
-    /// Device-wide miss ratio (the `miss_ratio` of AMAT, Eq. 5).
-    pub fn miss_ratio(&self) -> f64 {
-        let t = self.transactions();
-        if t == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / t as f64
-        }
+        self.misses
     }
 
     pub fn flush(&mut self) {
@@ -109,7 +98,7 @@ impl L2Cache {
     pub fn reset(&mut self) {
         self.cache.reset();
         self.accesses = [0; L2Source::COUNT];
-        self.misses = [0; L2Source::COUNT];
+        self.misses = 0;
     }
 
     /// The geometry this cache was built with (used to validate that a
@@ -130,15 +119,14 @@ mod tests {
     #[test]
     fn per_source_accounting() {
         let mut c = l2();
-        c.access(0, L2Source::Global);
-        c.access(0, L2Source::Texture); // hit, same line
-        c.access(4096, L2Source::Constant);
+        assert!(!c.access(0, L2Source::Global).is_hit());
+        assert!(c.access(0, L2Source::Texture).is_hit()); // same line
+        assert!(!c.access(4096, L2Source::Constant).is_hit());
         assert_eq!(c.transactions(), 3);
         assert_eq!(c.transactions_from(L2Source::Global), 1);
-        assert_eq!(c.misses_from(L2Source::Global), 1);
-        assert_eq!(c.misses_from(L2Source::Texture), 0);
-        assert_eq!(c.misses_from(L2Source::Constant), 1);
-        assert!((c.miss_ratio() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(c.transactions_from(L2Source::Texture), 1);
+        assert_eq!(c.transactions_from(L2Source::Constant), 1);
+        assert_eq!(c.misses(), 2);
     }
 
     #[test]

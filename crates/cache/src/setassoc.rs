@@ -54,7 +54,6 @@ pub struct SetAssocCache {
     /// Monotone use-stamp; bumped once per access, so it doubles as the
     /// access counter.
     clock: u64,
-    hits: u64,
     dirty_evictions: u64,
 }
 
@@ -133,7 +132,6 @@ impl SetAssocCache {
             dirty: vec![false; lines],
             live_mark: 1,
             clock: 0,
-            hits: 0,
             dirty_evictions: 0,
         }
     }
@@ -158,7 +156,6 @@ impl SetAssocCache {
             self.live_mark += 1;
         }
         self.clock = 0;
-        self.hits = 0;
         self.dirty_evictions = 0;
     }
 
@@ -229,7 +226,6 @@ impl SetAssocCache {
                 let w = base + w;
                 self.last_use[w] = self.clock;
                 self.dirty[w] |= write;
-                self.hits += 1;
                 return AccessOutcome::Hit;
             }
             cand &= cand - 1;
@@ -271,7 +267,6 @@ impl SetAssocCache {
             let w = base + w;
             self.last_use[w] = self.clock;
             self.dirty[w] |= write;
-            self.hits += 1;
             return AccessOutcome::Hit;
         }
         // Miss: strict `<` keeps the first minimal way, matching
@@ -338,23 +333,6 @@ impl SetAssocCache {
     pub fn accesses(&self) -> u64 {
         self.clock
     }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.clock - self.hits
-    }
-
-    /// Miss ratio over the cache's lifetime (0 when never accessed).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.clock == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / self.clock as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -374,8 +352,7 @@ mod tests {
         assert_eq!(c.access(0), AccessOutcome::Hit);
         assert_eq!(c.access(63), AccessOutcome::Hit); // same line
         assert_eq!(c.access(64), AccessOutcome::Miss { evicted: false }); // next line
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
+        assert_eq!(c.accesses(), 4);
     }
 
     #[test]
@@ -414,12 +391,9 @@ mod tests {
     #[test]
     fn miss_ratio_tracks_reuse() {
         let mut c = tiny();
-        for _ in 0..10 {
-            c.access(0);
-        }
-        assert!((c.miss_ratio() - 0.1).abs() < 1e-12);
-        let empty = tiny();
-        assert_eq!(empty.miss_ratio(), 0.0);
+        let misses = (0..10).filter(|_| !c.access(0).is_hit()).count();
+        assert_eq!(misses, 1);
+        assert_eq!(c.accesses(), 10);
     }
 
     #[test]
@@ -450,7 +424,7 @@ mod tests {
     fn reset_is_bit_identical_to_fresh() {
         // Drive a pseudo-random mixed read/write stream, reset, then
         // replay a second stream against both the reset cache and a
-        // fresh one: every outcome, probe, and counter must match.
+        // fresh one: every outcome, probe, and count must match.
         let mut reset = tiny();
         let mut x = 0x9e3779b97f4a7c15u64;
         let mut step = || {
@@ -467,7 +441,6 @@ mod tests {
         reset.reset();
         let mut fresh = tiny();
         assert_eq!(reset.accesses(), 0);
-        assert_eq!(reset.hits(), 0);
         assert_eq!(reset.dirty_evictions(), 0);
         for _ in 0..400 {
             let a = step() % 4096;
@@ -477,7 +450,6 @@ mod tests {
             assert_eq!(reset.probe(p), fresh.probe(p));
         }
         assert_eq!(reset.accesses(), fresh.accesses());
-        assert_eq!(reset.hits(), fresh.hits());
         assert_eq!(reset.dirty_evictions(), fresh.dirty_evictions());
         // flush after reset counts only post-reset dirty lines.
         reset.flush();

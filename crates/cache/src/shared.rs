@@ -34,44 +34,6 @@ pub fn shared_conflict_passes(lane_addrs: &[u64], banks: u32) -> u32 {
         .max(1)
 }
 
-/// Running per-SM shared-memory statistics.
-#[derive(Debug, Clone, Default)]
-pub struct SharedMemBanks {
-    pub banks: u32,
-    warp_accesses: u64,
-    conflicts: u64,
-}
-
-impl SharedMemBanks {
-    pub fn new(banks: u32) -> Self {
-        SharedMemBanks {
-            banks,
-            warp_accesses: 0,
-            conflicts: 0,
-        }
-    }
-
-    /// Account one warp access; returns the replay count (`passes - 1`).
-    pub fn access_warp(&mut self, lane_addrs: &[u64]) -> u32 {
-        if lane_addrs.is_empty() {
-            return 0;
-        }
-        self.warp_accesses += 1;
-        let replays = shared_conflict_passes(lane_addrs, self.banks) - 1;
-        self.conflicts += u64::from(replays);
-        replays
-    }
-
-    /// Total bank-conflict replays.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
-    }
-
-    pub fn warp_accesses(&self) -> u64 {
-        self.warp_accesses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,21 +65,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_replays() {
-        let mut s = SharedMemBanks::new(32);
-        let conflict_free: Vec<u64> = (0..32u64).map(|i| i * 4).collect();
-        let stride2: Vec<u64> = (0..32u64).map(|i| i * 8).collect();
-        assert_eq!(s.access_warp(&conflict_free), 0);
-        assert_eq!(s.access_warp(&stride2), 1);
-        assert_eq!(s.conflicts(), 1);
-        assert_eq!(s.warp_accesses(), 2);
-    }
-
-    #[test]
     fn empty_access_is_noop() {
-        let mut s = SharedMemBanks::new(32);
-        assert_eq!(s.access_warp(&[]), 0);
-        assert_eq!(s.warp_accesses(), 0);
         assert_eq!(shared_conflict_passes(&[], 32), 0);
     }
 }

@@ -22,22 +22,18 @@ pub struct TexAccessResult {
     pub missed_lines: Vec<u64>,
 }
 
-/// Per-SM texture cache.
+/// Per-SM texture cache. It keeps no lifetime counters: each fetch
+/// returns its own transactions and misses, which is all any caller
+/// reads.
 #[derive(Debug, Clone)]
 pub struct TextureCache {
     cache: SetAssocCache,
-    warp_accesses: u64,
-    transactions: u64,
-    misses: u64,
 }
 
 impl TextureCache {
     pub fn new(geometry: CacheGeometry) -> Self {
         TextureCache {
             cache: SetAssocCache::new(geometry),
-            warp_accesses: 0,
-            transactions: 0,
-            misses: 0,
         }
     }
 
@@ -77,7 +73,6 @@ impl TextureCache {
         if lines.is_empty() {
             return (0, 0);
         }
-        self.warp_accesses += 1;
         let mut misses = 0u32;
         for &l in lines {
             if !self.cache.access(l).is_hit() {
@@ -85,22 +80,7 @@ impl TextureCache {
                 missed.push(l);
             }
         }
-        let transactions = lines.len() as u32;
-        self.transactions += u64::from(transactions);
-        self.misses += u64::from(misses);
-        (transactions, misses)
-    }
-
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub fn warp_accesses(&self) -> u64 {
-        self.warp_accesses
+        (lines.len() as u32, misses)
     }
 
     pub fn flush(&mut self) {
@@ -112,9 +92,6 @@ impl TextureCache {
     /// allocations across replays.
     pub fn reset(&mut self) {
         self.cache.reset();
-        self.warp_accesses = 0;
-        self.transactions = 0;
-        self.misses = 0;
     }
 
     /// The geometry this cache was built with.
@@ -181,7 +158,8 @@ mod tests {
         let mut c = tc();
         assert_eq!(c.access_warp(&[]), TexAccessResult::default());
         assert_eq!(c.access_lines(&[]), TexAccessResult::default());
-        assert_eq!(c.warp_accesses(), 0);
+        // The empty fetches touched nothing: the first real one is cold.
+        assert_eq!(c.access_warp(&[0]).misses, 1);
     }
 
     #[test]
@@ -200,8 +178,6 @@ mod tests {
             lines.dedup();
             assert_eq!(via_warp.access_warp(addrs), via_lines.access_lines(&lines));
         }
-        assert_eq!(via_warp.transactions(), via_lines.transactions());
-        assert_eq!(via_warp.misses(), via_lines.misses());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   [`CInstr`] structs, kept as the independent oracle the
 //!   property/fuzz equivalence net compares against bit for bit.
 
-use hms_cache::{ConstantCache, L2Cache, L2Source, SharedMemBanks, TextureCache};
+use hms_cache::{shared_conflict_passes, ConstantCache, L2Cache, L2Source, TextureCache};
 use hms_sim::copy::{shared_init_prologue, shared_writeback_epilogue};
 use hms_trace::{coalesce, CInstr, ColumnarTrace, ConcreteTrace, OpRange, OpView};
 use hms_types::{GpuConfig, MemorySpace};
@@ -384,9 +384,6 @@ pub(crate) fn analyze_observed(
     let mut tex_caches: Vec<TextureCache> = (0..num_sms)
         .map(|_| TextureCache::new(cfg.tex_cache))
         .collect();
-    let mut shared_banks: Vec<SharedMemBanks> = (0..num_sms)
-        .map(|_| SharedMemBanks::new(cfg.shared_banks))
-        .collect();
     let mut l1_caches: Vec<hms_cache::SetAssocCache> = (0..num_sms)
         .map(|_| hms_cache::SetAssocCache::new(cfg.l1_cache))
         .collect();
@@ -565,8 +562,8 @@ pub(crate) fn analyze_observed(
                             match space {
                                 MemorySpace::Shared => {
                                     out.shared_requests += 1;
-                                    let r = shared_banks[sm].access_warp(addrs);
-                                    out.replay_shared_conflict += u64::from(r);
+                                    let passes = shared_conflict_passes(addrs, cfg.shared_banks);
+                                    out.replay_shared_conflict += u64::from(passes - 1);
                                 }
                                 MemorySpace::Constant => {
                                     let r = const_caches[sm].access_warp(addrs);
@@ -700,9 +697,6 @@ pub fn analyze_reference_with(
         .collect();
     let mut tex_caches: Vec<TextureCache> = (0..num_sms)
         .map(|_| TextureCache::new(cfg.tex_cache))
-        .collect();
-    let mut shared_banks: Vec<SharedMemBanks> = (0..num_sms)
-        .map(|_| SharedMemBanks::new(cfg.shared_banks))
         .collect();
     let mut l1_caches: Vec<hms_cache::SetAssocCache> = (0..num_sms)
         .map(|_| hms_cache::SetAssocCache::new(cfg.l1_cache))
@@ -848,8 +842,9 @@ pub fn analyze_reference_with(
                             match m.space {
                                 MemorySpace::Shared => {
                                     out.shared_requests += 1;
-                                    let r = shared_banks[sm].access_warp(&lane_addrs);
-                                    out.replay_shared_conflict += u64::from(r);
+                                    let passes =
+                                        shared_conflict_passes(&lane_addrs, cfg.shared_banks);
+                                    out.replay_shared_conflict += u64::from(passes - 1);
                                 }
                                 MemorySpace::Constant => {
                                     let r = const_caches[sm].access_warp(&lane_addrs);

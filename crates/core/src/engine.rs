@@ -266,71 +266,6 @@ impl std::fmt::Display for EngineStats {
     }
 }
 
-/// Thread-safe mirror of [`EngineStats`], bumped from worker threads.
-#[derive(Debug, Default)]
-pub(crate) struct EngineCounters {
-    pub skeletons_built: AtomicU64,
-    pub full_rewrites: AtomicU64,
-    pub delta_cache_hits: AtomicU64,
-    pub exact_fallbacks: AtomicU64,
-    pub memo_tables_built: AtomicU64,
-    pub skeleton_disk_hits: AtomicU64,
-    pub skeleton_disk_misses: AtomicU64,
-    pub skeleton_disk_writes: AtomicU64,
-    pub skeleton_disk_tmp_swept: AtomicU64,
-    pub candidates_enumerated: AtomicU64,
-    pub candidates_evaluated: AtomicU64,
-    pub prepare_nanos: AtomicU64,
-    pub enumerate_nanos: AtomicU64,
-    pub evaluate_nanos: AtomicU64,
-    pub candidates_visited: AtomicU64,
-    pub batched_replays: AtomicU64,
-    /// Peak lane width (gauge; updated with `fetch_max`).
-    pub lane_width: AtomicU64,
-    pub events_streamed: AtomicU64,
-}
-
-impl EngineCounters {
-    fn snapshot(&self) -> EngineStats {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        EngineStats {
-            skeletons_built: g(&self.skeletons_built),
-            full_rewrites: g(&self.full_rewrites),
-            delta_cache_hits: g(&self.delta_cache_hits),
-            exact_fallbacks: g(&self.exact_fallbacks),
-            memo_tables_built: g(&self.memo_tables_built),
-            skeleton_disk_hits: g(&self.skeleton_disk_hits),
-            skeleton_disk_misses: g(&self.skeleton_disk_misses),
-            skeleton_disk_writes: g(&self.skeleton_disk_writes),
-            skeleton_disk_tmp_swept: g(&self.skeleton_disk_tmp_swept),
-            candidates_enumerated: g(&self.candidates_enumerated),
-            candidates_evaluated: g(&self.candidates_evaluated),
-            // No strategy prunes; see the fields' docs.
-            candidates_pruned: 0,
-            subtrees_pruned: 0,
-            prepare_nanos: g(&self.prepare_nanos),
-            enumerate_nanos: g(&self.enumerate_nanos),
-            evaluate_nanos: g(&self.evaluate_nanos),
-            candidates_visited: g(&self.candidates_visited),
-            batched_replays: g(&self.batched_replays),
-            lane_width: g(&self.lane_width),
-            events_streamed: g(&self.events_streamed),
-            // Per-search, filled in by `SearchRequest::run` on its outcome
-            // snapshot — there is no atomic mirror for them.
-            gap_upper_bound: 0.0,
-            strategy: "",
-        }
-    }
-
-    pub(crate) fn add(&self, counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn max(&self, counter: &AtomicU64, n: u64) {
-        counter.fetch_max(n, Ordering::Relaxed);
-    }
-}
-
 /// Hard cap on replay lanes per batch: each lane carries its own L2 /
 /// texture / constant model state (~hundreds of KiB on real configs),
 /// so unbounded widths would trade cache locality for decode savings.
@@ -647,7 +582,7 @@ impl StaticsCache {
         key: StaticsKey,
         build: impl FnOnce() -> EngineStatics,
     ) -> Arc<EngineStatics> {
-        let mut slot = lock_cache(&self.0);
+        let mut slot = lock(&self.0);
         if let Some((_, st)) = slot.iter().find(|(k, _)| *k == key) {
             return st.clone();
         }
@@ -669,7 +604,7 @@ impl Clone for StaticsCache {
 
 impl std::fmt::Debug for StaticsCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = lock_cache(&self.0).len();
+        let n = lock(&self.0).len();
         write!(f, "StaticsCache({n} entries)")
     }
 }
@@ -727,7 +662,9 @@ pub struct Engine<'a> {
     st: Arc<EngineStatics>,
     skeletons: Mutex<HashMap<Vec<bool>, Arc<Skeleton>>>,
     memos: Mutex<HashMap<MemoKey, Arc<MemoRow>>>,
-    pub(crate) counters: EngineCounters,
+    /// Observability counts: the one record `stats` copies out, bumped
+    /// through [`Engine::count`].
+    stats: Mutex<EngineStats>,
     /// Fault-injection hook: when set, every skeleton built afterwards
     /// is poisoned, forcing the exact-fallback path. Exercised by the
     /// chaos suite to prove degradation is invisible in the output.
@@ -738,11 +675,12 @@ pub struct Engine<'a> {
     disk: Option<crate::skelcache::DiskCache>,
 }
 
-/// Lock one of the engine's caches, recovering from a poisoned mutex:
-/// a panicking worker can only have left a cache mid-insert of an
-/// `Arc` value, which the `HashMap` either holds or doesn't — both
-/// states are valid, so the data is safe to keep using.
-fn lock_cache<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock one of the engine's caches or its counts, recovering from a
+/// poisoned mutex: a panicking worker can only have left a cache
+/// mid-insert of an `Arc` value, which the `HashMap` either holds or
+/// doesn't, or the counts between two additions — every such state is
+/// valid, so the data is safe to keep using.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -965,7 +903,7 @@ impl<'a> Engine<'a> {
             st,
             skeletons: Mutex::new(HashMap::new()),
             memos: Mutex::new(HashMap::new()),
-            counters: EngineCounters::default(),
+            stats: Mutex::new(EngineStats::default()),
             inject_poison: AtomicBool::new(false),
             lane_width: AtomicU64::new(0),
             disk: None,
@@ -990,8 +928,7 @@ impl<'a> Engine<'a> {
         // The kernel fingerprint was computed (and cached) with the
         // statics — attaching a disk cache costs no trace serialization.
         let cache = crate::skelcache::DiskCache::with_fs(dir, self.st.kernel_fingerprint, fs);
-        self.counters
-            .add(&self.counters.skeleton_disk_tmp_swept, cache.swept());
+        self.count(|s| s.skeleton_disk_tmp_swept += cache.swept());
         self.disk = Some(cache);
         self
     }
@@ -1042,9 +979,15 @@ impl<'a> Engine<'a> {
         self.profile
     }
 
-    /// Snapshot of the engine's observability counters.
+    /// A copy of the engine's observability counts.
     pub fn stats(&self) -> EngineStats {
-        self.counters.snapshot()
+        *lock(&self.stats)
+    }
+
+    /// Update the engine's counts under their one lock. Callers fold
+    /// everything one step counts into a single call.
+    pub(crate) fn count(&self, f: impl FnOnce(&mut EngineStats)) {
+        f(&mut lock(&self.stats));
     }
 
     /// Which arrays `pm` places in shared memory: the key candidates
@@ -1064,16 +1007,16 @@ impl<'a> Engine<'a> {
             base: bases.0,
             stride: bases.1,
         };
-        if let Some(m) = lock_cache(&self.memos).get(&key) {
+        if let Some(m) = lock(&self.memos).get(&key) {
             return m.clone();
         }
         let built = Arc::new(self.build_memo(array, space, bases));
         // Count only winning inserts: losing a build race must not make
         // the observability counters depend on the worker count.
-        match lock_cache(&self.memos).entry(key) {
+        match lock(&self.memos).entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                self.counters.add(&self.counters.memo_tables_built, 1);
+                self.count(|s| s.memo_tables_built += 1);
                 v.insert(built).clone()
             }
         }
@@ -1115,14 +1058,11 @@ impl<'a> Engine<'a> {
     /// it, whatever the base.
     fn base_row(&self, array: ArrayId, space: MemorySpace, stride: u64) -> Arc<MemoRow> {
         let key = (array, space_idx(space) as u8, stride);
-        if let Some(r) = lock_cache(&self.st.base_rows).get(&key) {
+        if let Some(r) = lock(&self.st.base_rows).get(&key) {
             return r.clone();
         }
         let built = Arc::new(self.build_memo_at(array, space, (0, stride)));
-        lock_cache(&self.st.base_rows)
-            .entry(key)
-            .or_insert(built)
-            .clone()
+        lock(&self.st.base_rows).entry(key).or_insert(built).clone()
     }
 
     fn build_memo_at(&self, array: ArrayId, space: MemorySpace, bases: (u64, u64)) -> MemoRow {
@@ -1215,14 +1155,14 @@ impl<'a> Engine<'a> {
         };
         if let Some(skel) = disk.load(key) {
             if self.skeleton_is_plausible(&skel) {
-                self.counters.add(&self.counters.skeleton_disk_hits, 1);
+                self.count(|s| s.skeleton_disk_hits += 1);
                 return Arc::new(skel);
             }
         }
-        self.counters.add(&self.counters.skeleton_disk_misses, 1);
+        self.count(|s| s.skeleton_disk_misses += 1);
         let built = Arc::new(self.build_skeleton(canonical));
         if !built.poisoned && disk.store(key, &built) {
-            self.counters.add(&self.counters.skeleton_disk_writes, 1);
+            self.count(|s| s.skeleton_disk_writes += 1);
         }
         built
     }
@@ -1268,7 +1208,7 @@ impl<'a> Engine<'a> {
     ) -> Vec<Arc<Skeleton>> {
         let t0 = Instant::now();
         let missing: Vec<(&Vec<bool>, &PlacementMap)> = {
-            let cache = lock_cache(&self.skeletons);
+            let cache = lock(&self.skeletons);
             groups
                 .iter()
                 .filter(|(key, _)| !cache.contains_key(key))
@@ -1279,13 +1219,13 @@ impl<'a> Engine<'a> {
             self.load_or_build(pm, key)
         });
         {
-            let mut cache = lock_cache(&self.skeletons);
+            let mut cache = lock(&self.skeletons);
             for ((key, _), skel) in missing.iter().zip(built) {
                 cache.entry((*key).clone()).or_insert(skel);
             }
         }
         let skels: Vec<Arc<Skeleton>> = {
-            let cache = lock_cache(&self.skeletons);
+            let cache = lock(&self.skeletons);
             groups
                 .iter()
                 .map(|(key, _)| cache.get(key).expect("group prepared").clone())
@@ -1315,15 +1255,16 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.counters
-            .add(&self.counters.prepare_nanos, t0.elapsed().as_nanos() as u64);
+        self.count(|s| s.prepare_nanos += t0.elapsed().as_nanos() as u64);
         skels
     }
 
     fn build_skeleton(&self, canonical: &PlacementMap) -> Skeleton {
         let cfg = &self.predictor.cfg;
-        self.counters.add(&self.counters.skeletons_built, 1);
-        self.counters.add(&self.counters.full_rewrites, 1);
+        self.count(|s| {
+            s.skeletons_built += 1;
+            s.full_rewrites += 1;
+        });
         let n = self.st.dtypes.len();
         let poisoned_skeleton = || Skeleton {
             consts: TraceAnalysis::default(),
@@ -1425,10 +1366,11 @@ impl<'a> Engine<'a> {
         let n_arrays = self.st.dtypes.len();
         let width = targets.len();
         debug_assert!(width <= MAX_LANE_WIDTH);
-        self.counters.add(&self.counters.batched_replays, 1);
-        self.counters
-            .add(&self.counters.events_streamed, skel.events.len() as u64);
-        self.counters.max(&self.counters.lane_width, width as u64);
+        self.count(|s| {
+            s.batched_replays += 1;
+            s.events_streamed += skel.events.len() as u64;
+            s.lane_width = s.lane_width.max(width as u64);
+        });
         REPLAY_SCRATCH.with(|cell| {
             let mut slot = cell.borrow_mut();
             let scratch = match slot.as_mut() {
@@ -1613,7 +1555,7 @@ impl<'a> Engine<'a> {
             return self.exact(target);
         }
         let analysis = self.replay(skel, target);
-        self.counters.add(&self.counters.delta_cache_hits, 1);
+        self.count(|s| s.delta_cache_hits += 1);
         self.predictor
             .predict_prepared(self.profile, analysis, self.st.sample_analysis.as_ref())
     }
@@ -1621,8 +1563,10 @@ impl<'a> Engine<'a> {
     /// The exact path behind a poisoned skeleton: one full rewrite and
     /// walk through [`Predictor::predict`], counted as a fallback.
     fn exact(&self, target: &PlacementMap) -> Result<Prediction, HmsError> {
-        self.counters.add(&self.counters.exact_fallbacks, 1);
-        self.counters.add(&self.counters.full_rewrites, 1);
+        self.count(|s| {
+            s.exact_fallbacks += 1;
+            s.full_rewrites += 1;
+        });
         self.predictor.predict(self.profile, target)
     }
 
@@ -1678,7 +1622,7 @@ impl<'a> Engine<'a> {
                 units.push((g, chunk));
             }
         }
-        let per_unit = hms_stats::par::par_map_steal(threads, &units, |&(g, chunk)| {
+        let per_unit = hms_stats::par::par_map_threads(threads, &units, |&(g, chunk)| {
             self.evaluate_unit(&skels[g], candidates, chunk)
         });
         let mut slots: Vec<Option<Result<f64, HmsError>>> = Vec::new();
@@ -1696,12 +1640,10 @@ impl<'a> Engine<'a> {
                 predicted_cycles: cycles,
             });
         }
-        self.counters
-            .add(&self.counters.candidates_evaluated, candidates.len() as u64);
-        self.counters.add(
-            &self.counters.evaluate_nanos,
-            t0.elapsed().as_nanos() as u64,
-        );
+        self.count(|s| {
+            s.candidates_evaluated += candidates.len() as u64;
+            s.evaluate_nanos += t0.elapsed().as_nanos() as u64;
+        });
         Ok(ranked)
     }
 
@@ -1742,8 +1684,7 @@ impl<'a> Engine<'a> {
         if lanes.is_empty() {
             return out;
         }
-        self.counters
-            .add(&self.counters.delta_cache_hits, lanes.len() as u64);
+        self.count(|s| s.delta_cache_hits += lanes.len() as u64);
         self.replay_batch_with(skel, &lanes, |li, analysis| {
             let r = self
                 .predictor

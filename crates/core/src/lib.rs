@@ -36,7 +36,6 @@ pub mod engine;
 pub mod predictor;
 pub mod profile;
 pub mod search;
-pub mod sensitivity;
 pub mod skelcache;
 pub mod strategies;
 pub mod tcomp;
@@ -52,6 +51,5 @@ pub use search::{
     enumerate_placements, rank_placements_naive, RankedPlacement, SearchOutcome, SearchRequest,
     SearchStrategy,
 };
-pub use sensitivity::{stability, sweep, Knob, SensitivityReport};
 pub use skelcache::{CacheFs, RealFs};
 pub use toverlap::ToverlapModel;

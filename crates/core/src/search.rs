@@ -365,13 +365,10 @@ impl<'a> SearchRequest<'a> {
                     &predictor.cfg,
                     self.limit,
                 );
-                engine.counters.add(
-                    &engine.counters.enumerate_nanos,
-                    t0.elapsed().as_nanos() as u64,
-                );
-                engine
-                    .counters
-                    .add(&engine.counters.candidates_enumerated, space.len() as u64);
+                engine.count(|s| {
+                    s.enumerate_nanos += t0.elapsed().as_nanos() as u64;
+                    s.candidates_enumerated += space.len() as u64;
+                });
                 let mut ranked = Vec::with_capacity(space.len());
                 let done = strategies::evaluate_in_order(&engine, self, &space, &mut ranked)?;
                 // A cut exhaustive run is no longer exact: bound the gap

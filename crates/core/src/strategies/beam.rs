@@ -36,7 +36,6 @@ pub(crate) fn run(
 ) -> Result<Ranked, hms_types::HmsError> {
     let t0 = Instant::now();
     let n = req.arrays.len();
-    let c = &engine.counters;
     let width = width.max(1);
 
     let root = Prefix {
@@ -55,7 +54,6 @@ pub(crate) fn run(
                 let mut assignment = prefix.assignment.clone();
                 assignment[id.index()] = Some(space);
                 let lb = engine.lower_bound(&assignment);
-                c.add(&c.candidates_visited, 1);
                 children.push(Prefix {
                     assignment,
                     pm: prefix.pm.with(id, space),
@@ -63,6 +61,7 @@ pub(crate) fn run(
                 });
             }
         }
+        engine.count(|s| s.candidates_visited += children.len() as u64);
         // Stable sort: bound ties keep expansion order, so the beam's
         // contents are independent of anything but the request.
         children.sort_by(|a, b| a.lb.total_cmp(&b.lb));
@@ -94,8 +93,10 @@ pub(crate) fn run(
             lb: engine.lower_bound(&full_assignment(req.base, n)),
         });
     }
-    c.add(&c.candidates_enumerated, leaves.len() as u64);
-    c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
+    engine.count(|s| {
+        s.candidates_enumerated += leaves.len() as u64;
+        s.enumerate_nanos += t0.elapsed().as_nanos() as u64;
+    });
 
     let pms: Vec<PlacementMap> = leaves.iter().map(|p| p.pm.clone()).collect();
     let mut ranked = Vec::with_capacity(pms.len());

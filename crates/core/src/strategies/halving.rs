@@ -41,12 +41,9 @@ pub(crate) fn run(
     req: &SearchRequest<'_>,
 ) -> Result<Ranked, hms_types::HmsError> {
     let t0 = Instant::now();
-    let c = &engine.counters;
     let cfg = &engine.predictor().cfg;
     let space = enumerate_placements(req.arrays, req.base, &req.candidates, cfg, req.limit);
     let truncated = space.len() >= req.limit;
-    c.add(&c.candidates_enumerated, space.len() as u64);
-    c.add(&c.candidates_visited, space.len() as u64);
 
     // Bucket by shared-memory set; first-seen order (over the sorted,
     // deduplicated enumeration) keeps arm identity deterministic.
@@ -66,7 +63,11 @@ pub(crate) fn run(
         }
     }
     let mut arms: Vec<Arm> = arms.into_iter().map(|(_, a)| a).collect();
-    c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
+    engine.count(|s| {
+        s.candidates_enumerated += space.len() as u64;
+        s.candidates_visited += space.len() as u64;
+        s.enumerate_nanos += t0.elapsed().as_nanos() as u64;
+    });
 
     let mut evaluated = vec![false; space.len()];
     let mut ranked = Vec::with_capacity(space.len());

@@ -41,7 +41,6 @@ pub(crate) fn run(
     seed: u64,
 ) -> Result<Ranked, hms_types::HmsError> {
     let t0 = Instant::now();
-    let c = &engine.counters;
     let cfg = &engine.predictor().cfg;
     let mut rng = hms_stats::rng::Rng::seed_from_u64(seed);
 
@@ -91,7 +90,7 @@ pub(crate) fn run(
     while population.len() < POP {
         population.push(random_genome(&mut rng));
     }
-    c.add(&c.enumerate_nanos, t0.elapsed().as_nanos() as u64);
+    engine.count(|s| s.enumerate_nanos += t0.elapsed().as_nanos() as u64);
 
     let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
     // Evaluated pool across all generations, in evaluation order.
@@ -99,7 +98,7 @@ pub(crate) fn run(
     let mut ranked = Vec::new();
     let mut partial = false;
     'generations: for _gen in 0..GENERATIONS {
-        c.add(&c.candidates_visited, population.len() as u64);
+        let visited = population.len() as u64;
         let mut fresh: Vec<Vec<usize>> = Vec::new();
         for genome in population.drain(..) {
             if seen.insert(genome.clone()) && decode(&genome).validate(req.arrays, cfg).is_ok() {
@@ -107,7 +106,10 @@ pub(crate) fn run(
             }
         }
         let pms: Vec<PlacementMap> = fresh.iter().map(|g| decode(g)).collect();
-        c.add(&c.candidates_enumerated, pms.len() as u64);
+        engine.count(|s| {
+            s.candidates_visited += visited;
+            s.candidates_enumerated += pms.len() as u64;
+        });
         let start = ranked.len();
         let done = evaluate_in_order(engine, req, &pms, &mut ranked)?;
         for (r, genome) in ranked[start..].iter().zip(fresh) {

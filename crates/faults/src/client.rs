@@ -231,87 +231,85 @@ impl Client {
     /// Read the next response on the connection — including one the
     /// server sends unasked, like a 503 shed at accept.
     pub fn read_response(&mut self) -> io::Result<(u16, String)> {
-        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-        let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line)? == 0 {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("unparseable status line"))?;
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line)?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = line
-                .to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-            {
-                content_length = v.parse().map_err(|_| bad("bad content-length"))?;
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        let body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?;
+        let (status, body) = read_response(&mut self.reader)?;
+        let body = String::from_utf8(body)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
         Ok((status, body))
     }
 }
 
-/// Read and classify whatever the server sends next on `stream`.
-fn read_outcome(stream: TcpStream) -> FaultOutcome {
-    let mut reader = BufReader::new(stream);
+/// Read one HTTP/1.1 response off a blocking `reader`: `(status, body)`.
+/// The body is the `content-length` bytes after the headers (none when
+/// the header is absent). The one response reader of [`Client`],
+/// [`FaultClient`] and the serve benchmark's storm.
+pub fn read_response(reader: &mut impl BufRead) -> io::Result<(u16, Vec<u8>)> {
+    let status = read_status(reader)?;
+    Ok((status, read_body(reader)?))
+}
+
+/// The status code of a response's status line. A closed connection
+/// reads as `UnexpectedEof`, a line without a code as `InvalidData`.
+fn read_status(reader: &mut impl BufRead) -> io::Result<u16> {
     let mut status_line = String::new();
-    match reader.read_line(&mut status_line) {
-        Ok(0) => return FaultOutcome::ConnectionClosed,
-        Ok(_) => {}
-        Err(e) => {
-            return match e.kind() {
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                    FaultOutcome::TimedOut
-                }
-                _ => FaultOutcome::ConnectionClosed,
-            }
-        }
+    if reader.read_line(&mut status_line)? == 0 {
+        return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    let Some(status) = status_line
+    status_line
         .split_whitespace()
         .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-    else {
-        return FaultOutcome::ConnectionClosed;
-    };
-    // Drain headers and any content-length body so keep-alive state is
-    // observable by the caller if it reuses the address.
-    let mut content_length = 0usize;
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unparseable status line"))
+}
+
+/// The headers after the status line, then the `content-length` body.
+/// The body grows as bytes arrive, so a lying length costs a short read,
+/// not an allocation of the declared size.
+fn read_body(reader: &mut impl BufRead) -> io::Result<Vec<u8>> {
+    let mut content_length = 0u64;
     loop {
         let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                let line = line.trim_end();
-                if line.is_empty() {
-                    break;
-                }
-                if let Some(v) = line
-                    .to_ascii_lowercase()
-                    .strip_prefix("content-length:")
-                    .map(str::trim)
-                {
-                    content_length = v.parse().unwrap_or(0);
-                }
-            }
+        if reader.read_line(&mut line)? == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        if let Some(v) = line
+            .to_ascii_lowercase()
+            .strip_prefix("content-length:")
+            .map(str::trim)
+        {
+            content_length = v
+                .parse()
+                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
         }
     }
-    let mut body = vec![0u8; content_length.min(1 << 20)];
-    let _ = reader.read_exact(&mut body);
-    FaultOutcome::Status(status)
+    let mut body = Vec::new();
+    reader.take(content_length).read_to_end(&mut body)?;
+    if (body.len() as u64) < content_length {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(body)
+}
+
+/// Read and classify whatever the server sends next on `stream`: a
+/// parseable status line is a [`FaultOutcome::Status`] (the rest of the
+/// response is drained, whatever state it is in); a timeout is
+/// [`FaultOutcome::TimedOut`]; anything else is
+/// [`FaultOutcome::ConnectionClosed`].
+fn read_outcome(stream: TcpStream) -> FaultOutcome {
+    let mut reader = BufReader::new(stream);
+    match read_status(&mut reader) {
+        Ok(status) => {
+            let _ = read_body(&mut reader);
+            FaultOutcome::Status(status)
+        }
+        Err(e) => match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FaultOutcome::TimedOut,
+            _ => FaultOutcome::ConnectionClosed,
+        },
+    }
 }
 
 #[cfg(test)]
@@ -333,6 +331,33 @@ mod tests {
         assert!(Status(404).satisfies(MalformedJson));
         assert!(!Status(500).satisfies(MalformedJson));
         assert!(!TimedOut.satisfies(MalformedJson));
+    }
+
+    #[test]
+    fn read_response_takes_status_and_content_length_body() {
+        let read = |bytes: &[u8]| read_response(&mut &bytes[..]);
+        let (status, body) =
+            read(b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\nx: y\r\n\r\nbodyNEXT").unwrap();
+        assert_eq!((status, &body[..]), (200, &b"body"[..]));
+        assert_eq!(
+            read(b"HTTP/1.1 204 No Content\r\n\r\n").unwrap(),
+            (204, vec![])
+        );
+        let kind = |bytes: &[u8]| read(bytes).unwrap_err().kind();
+        assert_eq!(kind(b""), io::ErrorKind::UnexpectedEof);
+        assert_eq!(kind(b"garbage\r\n\r\n"), io::ErrorKind::InvalidData);
+        assert_eq!(
+            kind(b"HTTP/1.1 200 OK\r\ncontent-length: x\r\n\r\n"),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(
+            kind(b"HTTP/1.1 200 OK\r\ncontent-length: 9\r\n\r\nshort"),
+            io::ErrorKind::UnexpectedEof
+        );
+        assert_eq!(
+            kind(b"HTTP/1.1 200 OK\r\ncontent-le"),
+            io::ErrorKind::UnexpectedEof
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod plan;
 pub mod resource;
 
 pub use backoff::{retry_with_backoff, BackoffPolicy};
-pub use client::{Client, FaultClient, FaultOutcome};
+pub use client::{read_response, Client, FaultClient, FaultOutcome};
 pub use corpus::adversarial_json;
 pub use plan::{FaultCase, FaultKind, FaultPlan};
 pub use resource::{FaultyFs, FsFault, ResourceFaultCase, ResourceFaultKind, ResourceFaultPlan};

@@ -372,7 +372,7 @@ impl Handler for Predict {
                 Ok(r) => r,
                 Err(e) => return Outcome::Ready(api_error(e)),
             };
-            let key = ResponseKey::Predict(PredKey::new(&t.advisor, &q, &kt, &resolved));
+            let key = ResponseKey::Predict(PredKey::new(&q, &kt, &resolved));
             if let Some(body) = t.responses.get(&key) {
                 m.prediction_cache_hits.fetch_add(1, Ordering::Relaxed);
                 ctx.raw_put(req, &body);
@@ -415,7 +415,7 @@ impl Predict {
             Ok(r) => r,
             Err(e) => return api_error(e),
         };
-        let key = ResponseKey::Predict(PredKey::new(&t.advisor, q, &kt, &resolved));
+        let key = ResponseKey::Predict(PredKey::new(q, &kt, &resolved));
         // The coalescing window only covers byte-identical requests; an
         // equivalent spelling (`moves` vs `placement`) may have filled
         // the response cache since `poll` looked.
@@ -456,7 +456,7 @@ impl Rank {
         Ok((q, tenant))
     }
 
-    fn key(&self, advisor: &Advisor, q: &RankQuery) -> RankKey {
+    fn key(&self, q: &RankQuery) -> RankKey {
         RankKey {
             kernel: q.kernel.clone(),
             scale: q.scale,
@@ -467,8 +467,6 @@ impl Rank {
                 .resolve_strategy()
                 .expect("strategy validated at the parse edge"),
             include_stats: self.search,
-            options: advisor.predictor.options,
-            trained: advisor.predictor.overlap.is_trained(),
         }
     }
 }
@@ -488,10 +486,7 @@ impl Handler for Rank {
             Err(resp) => return Outcome::Ready(resp),
         };
         let t = ctx.shared.tenant(tenant);
-        if let Some(body) = t
-            .responses
-            .get(&ResponseKey::Rank(self.key(&t.advisor, &q)))
-        {
+        if let Some(body) = t.responses.get(&ResponseKey::Rank(self.key(&q))) {
             m.search_cache_hits.fetch_add(1, Ordering::Relaxed);
             ctx.raw_put(req, &body);
             return Outcome::Ready(Response::json_shared(body));
@@ -529,7 +524,7 @@ impl Rank {
     fn compute_for(&self, ctx: &Ctx<'_>, q: &RankQuery, tenant: usize) -> Response {
         let m = ctx.metrics();
         let t = ctx.shared.tenant(tenant);
-        let rank = self.key(&t.advisor, q);
+        let rank = self.key(q);
         let strategy = rank.strategy;
         let key = ResponseKey::Rank(rank);
         if let Some(body) = t.responses.get(&key) {

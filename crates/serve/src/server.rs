@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use hms_core::{ModelOptions, SearchStrategy};
+use hms_core::SearchStrategy;
 use hms_kernels::Scale;
 use hms_trace::KernelTrace;
 use hms_types::{MemorySpace, PlacementMap};
@@ -365,39 +365,32 @@ pub fn ready_state(shutdown: bool, queue_len: usize, queue_depth: usize) -> Read
     }
 }
 
-/// Prediction key: everything that can change the response bytes (the
-/// tenant is implied — each tenant has its own cache).
+/// Prediction key: everything that can change the response bytes. The
+/// tenant, and with it the predictor (model options, trained overlap
+/// model), is implied: each tenant's advisor has its own cache.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PredKey {
     kernel: String,
     scale: Scale,
     placement: Vec<(String, MemorySpace)>,
-    options: ModelOptions,
-    trained: bool,
 }
 
 impl PredKey {
     /// Key on the *resolved* placement so `moves` and an equivalent
     /// `placement` object hit the same entry.
-    pub(crate) fn new(
-        advisor: &Advisor,
-        q: &PredictQuery,
-        kt: &KernelTrace,
-        resolved: &PlacementMap,
-    ) -> PredKey {
+    pub(crate) fn new(q: &PredictQuery, kt: &KernelTrace, resolved: &PlacementMap) -> PredKey {
         PredKey {
             kernel: q.kernel.clone(),
             scale: q.scale,
             placement: named_placement(kt, resolved).0,
-            options: advisor.predictor.options,
-            trained: advisor.predictor.overlap.is_trained(),
         }
     }
 }
 
 /// Rank key: the full rank query plus which endpoint shape
 /// (advise has no stats block) — threads excluded, results are
-/// thread-invariant.
+/// thread-invariant. Like [`PredKey`], the predictor is implied by the
+/// tenant's cache.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RankKey {
     pub(crate) kernel: String,
@@ -408,8 +401,6 @@ pub(crate) struct RankKey {
     /// 400s before it can ever touch this key.
     pub(crate) strategy: SearchStrategy,
     pub(crate) include_stats: bool,
-    pub(crate) options: ModelOptions,
-    pub(crate) trained: bool,
 }
 
 /// Semantic response-cache key. Predict and rank entries share one

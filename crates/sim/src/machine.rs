@@ -31,7 +31,9 @@
 //! simulated time jumps to the earliest wake-up, so fully-stalled phases
 //! cost no host time.
 
-use hms_cache::{ConstantCache, L2Cache, L2Source, SetAssocCache, SharedMemBanks, TextureCache};
+use hms_cache::{
+    shared_conflict_passes, ConstantCache, L2Cache, L2Source, SetAssocCache, TextureCache,
+};
 use hms_dram::{AddressMapping, MemoryController};
 use hms_trace::{coalesce, CInstr, CMemRef, ConcreteTrace, ConcreteWarp};
 use hms_types::{GpuConfig, HmsError, MemorySpace};
@@ -143,7 +145,6 @@ struct Sm<'t> {
     const_cache: ConstantCache,
     tex_cache: TextureCache,
     l1: SetAssocCache,
-    shared_banks: SharedMemBanks,
     /// Round-robin scan start.
     rr: usize,
     wake: u64,
@@ -190,7 +191,6 @@ impl<'t> Machine<'t> {
                 const_cache: ConstantCache::new(cfg.const_cache),
                 tex_cache: TextureCache::new(cfg.tex_cache),
                 l1: SetAssocCache::new(cfg.l1_cache),
-                shared_banks: SharedMemBanks::new(cfg.shared_banks),
                 rr: 0,
                 wake: 0,
                 live: 0,
@@ -609,7 +609,7 @@ impl<'t> Machine<'t> {
         }
         match m.space {
             MemorySpace::Shared => {
-                let replays = self.sms[sm_id].shared_banks.access_warp(&lane_addrs);
+                let replays = shared_conflict_passes(&lane_addrs, self.cfg.shared_banks) - 1;
                 if m.is_store {
                     self.events.shared_st_requests += 1;
                 } else {

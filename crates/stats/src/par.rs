@@ -2,15 +2,16 @@
 //!
 //! Replaces `rayon` in the experiment harness and the placement search:
 //! the workspace's hot paths are embarrassingly parallel maps over
-//! independent items (placements to rank, suites to simulate), so a
-//! chunk-stealing scoped pool covers them without any external crate.
+//! independent, coarse items (suite simulations, skeleton builds or
+//! loads, lane batches of candidates, full naive predictions), so a
+//! work-stealing scoped pool covers them without any external crate.
 //!
 //! Design:
 //!
-//! * workers share one atomic cursor into the item slice and claim
-//!   *chunks* of it (`max(1, n / (threads * 4))`, capped at 64), so
-//!   cheap items amortize the atomic traffic while stragglers still
-//!   steal work from long tails;
+//! * workers share one atomic cursor into the item slice and claim one
+//!   item at a time: items are coarse and unevenly sized, so a single
+//!   atomic add per item costs nothing next to the item, and no long
+//!   tail is ever stranded behind one worker;
 //! * each worker accumulates `(index, result)` pairs locally and the
 //!   caller reassembles them by index, so **output order always equals
 //!   input order regardless of thread count or scheduling** — parallel
@@ -70,58 +71,6 @@ where
     if workers <= 1 {
         return items.iter().map(&f).collect();
     }
-    let chunk = (n / (workers * 4)).clamp(1, 64);
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    for (i, item) in items[start..end].iter().enumerate() {
-                        local.push((start + i, f(item)));
-                    }
-                }
-                collected
-                    .lock()
-                    .expect("no poisoned par_map worker")
-                    .extend(local);
-            });
-        }
-    });
-    let mut pairs = collected.into_inner().expect("all workers joined");
-    debug_assert_eq!(pairs.len(), n);
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`par_map_threads`] with per-*item* work stealing: workers claim one
-/// item at a time off the shared cursor instead of a chunk. For coarse,
-/// unevenly-sized units (lane batches spanning different skeleton
-/// groups, whole benchmark suites) chunked claiming can strand a long
-/// tail behind one worker; stealing single units keeps every worker
-/// busy until the queue drains. Output order equals input order for
-/// every worker count, exactly like [`par_map_threads`].
-pub fn par_map_steal<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = if threads == 0 { max_threads() } else { threads };
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(n);
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
     let cursor = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
@@ -154,13 +103,15 @@ mod tests {
 
     #[test]
     fn steal_matches_sequential_map() {
+        // Workers claim one item at a time; an item count that no
+        // worker count divides must still come back whole and in order.
         let items: Vec<u64> = (0..257).collect();
         let seq: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8] {
-            let par = par_map_steal(threads, &items, |x| x * 3 + 1);
+            let par = par_map_threads(threads, &items, |x| x * 3 + 1);
             assert_eq!(par, seq, "threads = {threads}");
         }
-        assert!(par_map_steal(2, &Vec::<u32>::new(), |x| *x).is_empty());
+        assert!(par_map_threads(2, &Vec::<u32>::new(), |x| *x).is_empty());
     }
 
     #[test]

@@ -25,10 +25,11 @@ cargo fmt --check
 
 # Arithmetic that only misbehaves when it wraps must fail loudly: rerun
 # the numeric crates' tests with overflow checks forced on (release
-# builds default them off).
-echo "==> overflow-checks test pass (core, sim, stats)"
+# builds default them off). The cache and DRAM models sit on the
+# replay's hot path, so their counters are checked too.
+echo "==> overflow-checks test pass (core, sim, stats, cache, dram)"
 RUSTFLAGS="-C overflow-checks=on" \
-    cargo test -q --offline -p hms-core -p hms-sim -p hms-stats
+    cargo test -q --offline -p hms-core -p hms-sim -p hms-stats -p hms-cache -p hms-dram
 
 # Chaos gate: the seed-replayable connection-fault matrix AND the
 # resource-fault storm (disk ENOSPC/torn-write/bit-rot/rename, pool

@@ -77,3 +77,76 @@ fn predictor_and_search_are_bit_deterministic() {
         );
     }
 }
+
+/// The engine's deterministic work counts for one search, in the order
+/// of [`GOLDEN_WORK`]'s columns.
+type Work = [u64; 10];
+
+fn work(s: &EngineStats) -> Work {
+    [
+        s.candidates_enumerated,
+        s.candidates_evaluated,
+        s.candidates_visited,
+        s.skeletons_built,
+        s.full_rewrites,
+        s.memo_tables_built,
+        s.delta_cache_hits,
+        s.exact_fallbacks,
+        s.skeleton_disk_hits,
+        s.skeleton_disk_misses,
+    ]
+}
+
+/// Exact work of one Test-scale wide8 search per strategy, first over
+/// an empty skeleton cache (cold) and then over the one it filled
+/// (warm). Columns: candidates enumerated, evaluated and visited,
+/// skeletons built, full rewrites, memo tables, delta hits, exact
+/// fallbacks, disk hits, disk misses.
+#[rustfmt::skip]
+const GOLDEN_WORK: [(&str, Work, Work); 4] = [
+    ("exhaustive",
+     [4096, 4096, 0, 64, 64, 27, 4096, 0, 0, 64],
+     [4096, 4096, 0, 0, 0, 27, 4096, 0, 64, 0]),
+    ("beam",
+     [8, 8, 216, 5, 5, 15, 8, 0, 0, 5],
+     [8, 8, 216, 0, 0, 15, 8, 0, 5, 0]),
+    ("halving",
+     [4096, 927, 4096, 64, 64, 27, 927, 0, 0, 64],
+     [4096, 927, 4096, 0, 0, 27, 927, 0, 64, 0]),
+    ("local",
+     [307, 307, 384, 61, 61, 33, 307, 0, 0, 61],
+     [307, 307, 384, 0, 0, 33, 307, 0, 61, 0]),
+];
+
+/// Every count the engine keeps is pinned both ways: the CI work gate
+/// only catches a count that grows, this also catches one that is lost
+/// (a bump dropped, or a race that double-counts at more workers).
+#[test]
+fn search_work_counts_are_golden() {
+    let cfg = GpuConfig::test_small();
+    let kt = by_name("wide8", Scale::Test).unwrap();
+    let base = kt.default_placement();
+    let profile = profile_sample(&kt, &base, &cfg).unwrap();
+    let predictor = Predictor::new(cfg);
+    for threads in [1usize, 0] {
+        for &(name, cold, warm) in &GOLDEN_WORK {
+            let strategy = SearchStrategy::parse(name, None, None).unwrap();
+            let dir = std::env::temp_dir().join(format!(
+                "hms-golden-work-{}-{name}-{threads}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let run = || {
+                SearchRequest::new(&kt.arrays, &base)
+                    .strategy(strategy)
+                    .threads(threads)
+                    .skeleton_cache(&dir)
+                    .run(&predictor, &profile)
+                    .unwrap()
+            };
+            let got = (work(&run().stats), work(&run().stats));
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(got, (cold, warm), "{name} at {threads} worker(s)");
+        }
+    }
+}

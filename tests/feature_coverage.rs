@@ -1,6 +1,6 @@
 //! Integration coverage for the extension features: shared write-back
 //! epilogues, local-memory spills, trace serialization through the
-//! simulator, and sensitivity sweeps.
+//! simulator, and event mining.
 
 use gpu_hms::prelude::*;
 use hms_types::ArrayId;
@@ -99,50 +99,6 @@ fn serialized_trace_simulates_identically() {
         assert_eq!(
             a.events, b.events,
             "{name}: events diverged after round trip"
-        );
-    }
-}
-
-/// The sensitivity API's `winner_stable` flag agrees with the raw sweep
-/// data, and every sweep point is finite, for every knob at +-25%.
-#[test]
-fn sensitivity_reports_are_internally_consistent() {
-    use gpu_hms::core::{stability, Predictor};
-    let cfg = cfg();
-    let kt = by_name("neuralnet", Scale::Test).unwrap();
-    let sample = kt.default_placement();
-    let profile = gpu_hms::core::profile_sample(&kt, &sample, &cfg).unwrap();
-    let candidates = vec![
-        sample.clone(),
-        sample.with(ArrayId(0), MemorySpace::Shared),
-        sample.with(ArrayId(0), MemorySpace::Texture1D),
-    ];
-    let predictor = Predictor::new(cfg.clone());
-    let reports = stability(&predictor, &profile, &candidates, 0.25).unwrap();
-    assert_eq!(reports.len(), 4);
-    for r in &reports {
-        assert_eq!(r.points.len(), 3);
-        let argmin = |preds: &[f64]| {
-            preds
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap()
-        };
-        let winners: Vec<usize> = r
-            .points
-            .iter()
-            .map(|(_, preds)| {
-                assert!(preds.iter().all(|x| x.is_finite() && *x > 0.0));
-                argmin(preds)
-            })
-            .collect();
-        let stable = winners.windows(2).all(|w| w[0] == w[1]);
-        assert_eq!(
-            r.winner_stable, stable,
-            "{:?}: flag disagrees with data",
-            r.knob
         );
     }
 }
