@@ -74,9 +74,8 @@ impl ConstantCache {
     /// first), and the `(transactions, misses)` pair is returned
     /// directly — the replay's divergence replays are `transactions -
     /// 1` and its miss replays `misses`, both derivable by the caller.
-    /// The engine's lane-batched replay calls this once per constant
-    /// body event per lane, so the result buffer must be reusable
-    /// scratch.
+    /// The engine's skeleton replay calls this once per constant body
+    /// event, so the result buffer must be reusable scratch.
     pub fn access_words_into(&mut self, words: &[u64], missed: &mut Vec<u64>) -> (u32, u32) {
         missed.clear();
         if words.is_empty() {

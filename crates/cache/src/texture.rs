@@ -66,8 +66,8 @@ impl TextureCache {
     /// Allocation-free [`access_lines`](Self::access_lines): missing
     /// lines land in the caller's `missed` buffer (cleared first), and
     /// the `(transactions, misses)` pair is returned directly. The
-    /// engine's lane-batched replay calls this once per texture body
-    /// event per lane, so the result buffer must be reusable scratch.
+    /// engine's skeleton replay calls this once per texture body event,
+    /// so the result buffer must be reusable scratch.
     pub fn access_lines_into(&mut self, lines: &[u64], missed: &mut Vec<u64>) -> (u32, u32) {
         missed.clear();
         if lines.is_empty() {

@@ -49,7 +49,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -125,17 +125,16 @@ pub struct EngineStats {
     /// [`strategies`](crate::strategies) for how each strategy derives
     /// its bound.
     pub gap_upper_bound: f64,
-    /// Lane-batched replay passes: each one streams a skeleton's event
-    /// column once for a whole batch of candidates. Compare against
-    /// `delta_cache_hits` (lanes replayed) for the batching factor.
+    /// Always 0: every replay serves one candidate, so the count would
+    /// equal `delta_cache_hits`. Kept, like `candidates_pruned`, for the
+    /// advisor benchmark's per-layer rows.
     pub batched_replays: u64,
-    /// Widest lane batch replayed so far (a gauge, not a sum): how many
-    /// candidates shared one event-stream pass at peak.
+    /// Always 0: the replay width is a constant 1. Kept beside
+    /// `batched_replays` for the same reader.
     pub lane_width: u64,
-    /// Skeleton events decoded across all batched replays. Without
-    /// batching this grows per *candidate*; with it, per *batch* — the
-    /// ratio `events_streamed / delta_cache_hits` is the per-candidate
-    /// decode cost batching saves.
+    /// Skeleton events decoded across all replays, the self-check
+    /// replay of each skeleton build included. Independent of the
+    /// worker count.
     pub events_streamed: u64,
     /// Wire name of the strategy that produced this snapshot (see
     /// [`SearchStrategy::name`]); empty for snapshots taken outside a
@@ -161,8 +160,8 @@ impl EngineStats {
 
     /// Fold another stats snapshot into this one, field by field — how
     /// the advisory server's `/metrics` keeps cumulative engine totals
-    /// across searches. Counters add up and `lane_width` keeps its peak.
-    /// `candidates_visited` and `gap_upper_bound` only carry meaning for
+    /// across searches. Counters add up. `candidates_visited` and
+    /// `gap_upper_bound` only carry meaning for
     /// [anytime](Self::anytime) snapshots, so only those feed them: the
     /// visits add up, and the gap is a gauge of the most recent anytime
     /// search. The strategy name is per-search; the accumulator's own
@@ -182,8 +181,6 @@ impl EngineStats {
         self.prepare_nanos += other.prepare_nanos;
         self.enumerate_nanos += other.enumerate_nanos;
         self.evaluate_nanos += other.evaluate_nanos;
-        self.batched_replays += other.batched_replays;
-        self.lane_width = self.lane_width.max(other.lane_width);
         self.events_streamed += other.events_streamed;
         if other.anytime() {
             self.candidates_visited += other.candidates_visited;
@@ -246,9 +243,7 @@ impl std::fmt::Display for EngineStats {
                 self.skeleton_disk_tmp_swept
             )?;
         }
-        if self.batched_replays > 0 {
-            writeln!(f, "  batched replays         {:>10}", self.batched_replays)?;
-            writeln!(f, "  peak lane width         {:>10}", self.lane_width)?;
+        if self.events_streamed > 0 {
             writeln!(f, "  events streamed         {:>10}", self.events_streamed)?;
         }
         writeln!(
@@ -265,11 +260,6 @@ impl std::fmt::Display for EngineStats {
         )
     }
 }
-
-/// Hard cap on replay lanes per batch: each lane carries its own L2 /
-/// texture / constant model state (~hundreds of KiB on real configs),
-/// so unbounded widths would trade cache locality for decode savings.
-const MAX_LANE_WIDTH: usize = 64;
 
 /// Event-kind codes of the skeleton's recorded stream.
 pub(crate) const EV_ADVANCE: u8 = 0;
@@ -321,12 +311,13 @@ pub(crate) struct Skeleton {
     pub(crate) poisoned: bool,
 }
 
-/// One candidate lane of a batched replay: the full per-candidate model
-/// state (stateful caches, per-SM position, and the output accumulator).
-/// Lanes are mutually independent — each performs exactly the operation
-/// sequence the per-candidate replay would, which is what makes the
-/// lane-batched path bit-identical by construction.
-struct LaneState {
+/// Per-thread replay state for one candidate: the stateful cache
+/// models, per-SM positions, and the output accumulator. The cache
+/// models dominate the allocation cost (~hundreds of KiB when built
+/// fresh); keeping them thread-local and generation-resetting them
+/// ([`SetAssocCache::reset`](hms_cache::SetAssocCache)) makes a warm
+/// replay allocation-free.
+struct ReplayScratch {
     l2: L2Cache,
     const_caches: Vec<ConstantCache>,
     tex_caches: Vec<TextureCache>,
@@ -334,22 +325,23 @@ struct LaneState {
     /// The accumulating `TraceAnalysis`; reused across replays so the
     /// DRAM stream keeps its capacity (no per-replay allocation).
     out: TraceAnalysis,
-    /// Per-array index of this lane's space in `MemorySpace::ALL` order.
-    space_of: Vec<u8>,
     /// Per-array addressing expansion per `AddrCalc` count unit under
-    /// this lane's placement.
+    /// the candidate's placement.
     addr_n: Vec<u64>,
     /// Scratch for the texture/constant caches' missed-line output
     /// (cleared by [`TextureCache::access_lines_into`] /
     /// [`ConstantCache::access_words_into`] on every call) — keeps the
     /// per-body-event miss list off the heap.
     missed: Vec<u64>,
+    /// Per-array memo row under the candidate's space, resolved on the
+    /// array's first body event.
+    memo_slots: Vec<Option<Arc<MemoRow>>>,
 }
 
-impl LaneState {
+impl ReplayScratch {
     fn new(cfg: &GpuConfig) -> Self {
         let num_sms = cfg.num_sms as usize;
-        LaneState {
+        ReplayScratch {
             l2: L2Cache::new(cfg.l2_cache),
             const_caches: (0..num_sms)
                 .map(|_| ConstantCache::new(cfg.const_cache))
@@ -359,18 +351,34 @@ impl LaneState {
                 .collect(),
             sm_pos: vec![0; num_sms],
             out: TraceAnalysis::default(),
-            space_of: Vec::new(),
             addr_n: Vec::new(),
             missed: Vec::new(),
+            memo_slots: Vec::new(),
         }
     }
 
-    /// Return the model state to just-constructed and load the
-    /// skeleton's placement-invariant constants, all without touching
-    /// the heap: the caches generation-reset and the output's DRAM
-    /// stream keeps its buffers (the skeleton's `consts.dram` is empty
-    /// by construction, so the clone below allocates nothing).
-    fn reset(&mut self, consts: &TraceAnalysis) {
+    /// Was this scratch built for an identical machine shape? A thread
+    /// may serve engines with different configs over its lifetime.
+    fn matches(&self, cfg: &GpuConfig) -> bool {
+        self.sm_pos.len() == cfg.num_sms as usize
+            && *self.l2.geometry() == cfg.l2_cache
+            && self
+                .const_caches
+                .first()
+                .is_none_or(|c| *c.geometry() == cfg.const_cache)
+            && self
+                .tex_caches
+                .first()
+                .is_none_or(|c| *c.geometry() == cfg.tex_cache)
+    }
+
+    /// Return the model state to just-constructed, load the skeleton's
+    /// placement-invariant constants and `target`'s per-array
+    /// addressing, all without touching the heap: the caches
+    /// generation-reset and the output's DRAM stream keeps its buffers
+    /// (the skeleton's `consts.dram` is empty by construction, so the
+    /// clone below allocates nothing).
+    fn reset(&mut self, consts: &TraceAnalysis, target: &PlacementMap, dtypes: &[DType]) {
         self.l2.reset();
         for c in &mut self.const_caches {
             c.reset();
@@ -379,72 +387,17 @@ impl LaneState {
             c.reset();
         }
         self.sm_pos.fill(0);
-        self.space_of.clear();
-        self.addr_n.clear();
         let mut dram = std::mem::take(&mut self.out.dram);
         dram.clear();
         self.out = consts.clone();
         self.out.dram = dram;
-    }
-}
-
-/// Per-thread replay state: W candidate lanes plus the shared
-/// per-`(array, space)` memo table. The stateful cache models dominate
-/// the allocation cost (~hundreds of KiB per lane when built fresh);
-/// keeping them thread-local and generation-resetting them
-/// ([`SetAssocCache::reset`](hms_cache::SetAssocCache)) makes a warm
-/// batched replay allocation-free.
-struct ReplayScratch {
-    lanes: Vec<LaneState>,
-    /// Memo handle per `(array, space)` (flat `array * 5 + space_idx`),
-    /// resolved lazily once per batch — lanes sharing a space for the
-    /// active array share the memo row.
-    memo_slots: Vec<Option<Arc<MemoRow>>>,
-}
-
-impl ReplayScratch {
-    fn new(cfg: &GpuConfig) -> Self {
-        ReplayScratch {
-            lanes: vec![LaneState::new(cfg)],
-            memo_slots: Vec::new(),
-        }
-    }
-
-    /// Was this scratch built for an identical machine shape? A thread
-    /// may serve engines with different configs over its lifetime.
-    fn matches(&self, cfg: &GpuConfig) -> bool {
-        self.lanes.first().is_none_or(|lane| {
-            lane.sm_pos.len() == cfg.num_sms as usize
-                && *lane.l2.geometry() == cfg.l2_cache
-                && lane
-                    .const_caches
-                    .first()
-                    .is_none_or(|c| *c.geometry() == cfg.const_cache)
-                && lane
-                    .tex_caches
-                    .first()
-                    .is_none_or(|c| *c.geometry() == cfg.tex_cache)
-        })
-    }
-
-    /// Grow to `width` lanes and reset every model to just-constructed;
-    /// the memo table is cleared (or grown) to `n_arrays * 5` slots.
-    fn reset(&mut self, width: usize, n_arrays: usize, cfg: &GpuConfig, consts: &TraceAnalysis) {
-        while self.lanes.len() < width {
-            self.lanes.push(LaneState::new(cfg));
-        }
-        for lane in &mut self.lanes[..width] {
-            lane.reset(consts);
-        }
-        let slots = n_arrays * 5;
-        if self.memo_slots.len() != slots {
-            self.memo_slots.clear();
-            self.memo_slots.resize(slots, None);
-        } else {
-            for m in &mut self.memo_slots {
-                *m = None;
-            }
-        }
+        self.addr_n.clear();
+        self.addr_n
+            .extend(dtypes.iter().enumerate().map(|(i, &dtype)| {
+                u64::from(addr_calc_instrs(target.space(ArrayId(i as u32)), dtype))
+            }));
+        self.memo_slots.clear();
+        self.memo_slots.resize(dtypes.len(), None);
     }
 }
 
@@ -669,8 +622,6 @@ pub struct Engine<'a> {
     /// is poisoned, forcing the exact-fallback path. Exercised by the
     /// chaos suite to prove degradation is invisible in the output.
     inject_poison: AtomicBool,
-    /// Lane width for batched replays; 0 = autosize per skeleton group.
-    lane_width: AtomicU64,
     /// Optional persistent skeleton cache (see [`crate::skelcache`]).
     disk: Option<crate::skelcache::DiskCache>,
 }
@@ -905,7 +856,6 @@ impl<'a> Engine<'a> {
             memos: Mutex::new(HashMap::new()),
             stats: Mutex::new(EngineStats::default()),
             inject_poison: AtomicBool::new(false),
-            lane_width: AtomicU64::new(0),
             disk: None,
         }
     }
@@ -946,32 +896,6 @@ impl<'a> Engine<'a> {
     /// to assert the fallback is bit-identical to the delta path.
     pub fn inject_poison(&self, on: bool) {
         self.inject_poison.store(on, Ordering::Relaxed);
-    }
-
-    /// Fix the lane width of batched replays (`0` = autosize per
-    /// skeleton group, the default). Any width yields bit-identical
-    /// results — the knob trades decode amortization against per-lane
-    /// cache-model memory, and exists mostly for the equivalence suite
-    /// and benchmarks.
-    pub fn set_lane_width(&self, width: u64) {
-        self.lane_width
-            .store(width.min(MAX_LANE_WIDTH as u64), Ordering::Relaxed);
-    }
-
-    /// Lane width one skeleton group of `group_len` candidates splits
-    /// into, given `threads` evaluation workers. Autosizing favors full
-    /// groups (maximum decode amortization) but splits a group that
-    /// would otherwise leave workers idle.
-    fn unit_width(&self, group_len: usize, threads: usize) -> usize {
-        let fixed = self.lane_width.load(Ordering::Relaxed) as usize;
-        if fixed > 0 {
-            return fixed.min(MAX_LANE_WIDTH);
-        }
-        if threads <= 1 {
-            group_len.clamp(1, MAX_LANE_WIDTH)
-        } else {
-            group_len.div_ceil(threads).clamp(1, MAX_LANE_WIDTH)
-        }
     }
 
     /// The profiled sample this engine searches from.
@@ -1335,7 +1259,7 @@ impl<'a> Engine<'a> {
         // Self-check: replaying the canonical placement must reproduce
         // the direct analysis bit for bit. A mismatch poisons the
         // skeleton — its candidates silently use the exact path.
-        if self.replay(&skel, canonical) != canonical_analysis {
+        if self.replay(&skel, canonical, std::mem::take) != canonical_analysis {
             return Skeleton {
                 poisoned: true,
                 ..skel
@@ -1344,204 +1268,156 @@ impl<'a> Engine<'a> {
         skel
     }
 
-    /// Event-major lane-batched replay: stream the skeleton's event
-    /// column **once** while updating `targets.len()` candidate lanes
-    /// simultaneously, calling `sink(lane_index, &analysis)` per lane
-    /// when the stream ends. Placement-invariant events (`EV_ADVANCE`,
-    /// `EV_STAGING_GLOBAL` and its transaction walk, `EV_L2_PROBE`) are
-    /// decoded once and broadcast to every lane; `EV_ADDR_CALC` and
-    /// `EV_BODY` dispatch per lane on that lane's space for the active
-    /// array, with the memo row resolved once per `(array, space)` and
-    /// shared by every lane placing the array there. Each lane carries
-    /// fully independent model state and performs exactly the operation
-    /// sequence the per-candidate replay would — bit-identity for every
-    /// lane width falls out by construction.
-    fn replay_batch_with(
+    /// Replay `target` over the skeleton's recorded event stream and
+    /// hand the composed analysis to `f`, borrowed from this thread's
+    /// [`ReplayScratch`] (`std::mem::take` moves it out). Events that do
+    /// not depend on the placement (`EV_ADVANCE`, `EV_STAGING_GLOBAL` and
+    /// its transactions, `EV_L2_PROBE`) apply as recorded;
+    /// `EV_ADDR_CALC` scales by the target space's addressing expansion
+    /// and `EV_BODY` applies the memoized stateless outcome of the
+    /// access under the target space, driving the stateful caches in
+    /// walk order — the same operations the direct walk performs.
+    fn replay<R>(
         &self,
         skel: &Skeleton,
-        targets: &[&PlacementMap],
-        mut sink: impl FnMut(usize, &TraceAnalysis),
-    ) {
+        target: &PlacementMap,
+        f: impl FnOnce(&mut TraceAnalysis) -> R,
+    ) -> R {
         let cfg = &self.predictor.cfg;
-        let n_arrays = self.st.dtypes.len();
-        let width = targets.len();
-        debug_assert!(width <= MAX_LANE_WIDTH);
-        self.count(|s| {
-            s.batched_replays += 1;
-            s.events_streamed += skel.events.len() as u64;
-            s.lane_width = s.lane_width.max(width as u64);
-        });
+        self.count(|s| s.events_streamed += skel.events.len() as u64);
         REPLAY_SCRATCH.with(|cell| {
             let mut slot = cell.borrow_mut();
-            let scratch = match slot.as_mut() {
-                Some(s) if s.matches(cfg) => s,
-                _ => {
-                    *slot = Some(ReplayScratch::new(cfg));
-                    slot.as_mut().unwrap()
-                }
+            let scratch = match slot.take() {
+                Some(s) if s.matches(cfg) => slot.insert(s),
+                _ => slot.insert(ReplayScratch::new(cfg)),
             };
-            scratch.reset(width, n_arrays, cfg, &skel.consts);
-            let ReplayScratch { lanes, memo_slots } = scratch;
-            let lanes = &mut lanes[..width];
-            for (lane, pm) in lanes.iter_mut().zip(targets) {
-                for i in 0..n_arrays {
-                    let space = pm.space(ArrayId(i as u32));
-                    lane.space_of.push(space_idx(space) as u8);
-                    lane.addr_n
-                        .push(u64::from(addr_calc_instrs(space, self.st.dtypes[i])));
-                }
-            }
-            // Placement-invariant progress is accumulated once in shared
-            // bases rather than per lane: `lane.sm_pos` holds only the
-            // lane-dependent offset contributed by address-calculation
-            // events, so the effective position is `pos_base[sm] +
-            // lane.sm_pos[sm]` and EV_ADVANCE costs O(1) instead of
-            // O(lanes). u64 addition is associative, so totals stay
-            // bit-identical to the unsplit accumulation.
-            let mut executed_base = 0u64;
-            let mut pos_base = vec![0u64; self.predictor.cfg.num_sms as usize];
+            scratch.reset(&skel.consts, target, &self.st.dtypes);
+            let ReplayScratch {
+                l2,
+                const_caches,
+                tex_caches,
+                sm_pos,
+                out,
+                addr_n,
+                missed,
+                memo_slots,
+            } = scratch;
             for ev in &skel.events {
                 let sm = ev.sm as usize;
                 match ev.kind {
                     EV_ADVANCE => {
-                        executed_base += ev.x;
-                        pos_base[sm] += ev.x;
+                        out.executed += ev.x;
+                        sm_pos[sm] += ev.x;
                     }
                     EV_ADDR_CALC => {
-                        let ai = ev.arr as usize;
-                        for lane in lanes.iter_mut() {
-                            let n = lane.addr_n[ai] * ev.x;
-                            lane.out.executed += n;
-                            lane.sm_pos[sm] += n;
-                        }
+                        let n = addr_n[ev.arr as usize] * ev.x;
+                        out.executed += n;
+                        sm_pos[sm] += n;
                     }
                     EV_STAGING_GLOBAL => {
-                        executed_base += 1;
-                        pos_base[sm] += 1;
-                        let base = pos_base[sm];
+                        out.executed += 1;
+                        sm_pos[sm] += 1;
+                        out.global_requests += 1;
+                        out.global_transactions += u64::from(ev.tx_len);
+                        out.replay_global_divergence += ev.x;
                         let txs = &skel.tx_arena[ev.tx as usize..(ev.tx + ev.tx_len) as usize];
-                        for lane in lanes.iter_mut() {
-                            lane.out.global_requests += 1;
-                            lane.out.global_transactions += u64::from(ev.tx_len);
-                            lane.out.replay_global_divergence += ev.x;
-                            let pos = base + lane.sm_pos[sm];
-                            for &t in txs {
-                                l2_fill(
-                                    &mut lane.l2,
-                                    &mut lane.out,
-                                    t,
-                                    L2Source::Global,
-                                    pos,
-                                    ev.sm as u32,
-                                    ev.flag != 0,
-                                );
-                            }
-                        }
-                    }
-                    EV_L2_PROBE => {
-                        let base = pos_base[sm];
-                        for lane in lanes.iter_mut() {
+                        for &t in txs {
                             l2_fill(
-                                &mut lane.l2,
-                                &mut lane.out,
-                                ev.x,
+                                l2,
+                                out,
+                                t,
                                 L2Source::Global,
-                                base + lane.sm_pos[sm],
+                                sm_pos[sm],
                                 ev.sm as u32,
                                 ev.flag != 0,
                             );
                         }
                     }
+                    EV_L2_PROBE => l2_fill(
+                        l2,
+                        out,
+                        ev.x,
+                        L2Source::Global,
+                        sm_pos[sm],
+                        ev.sm as u32,
+                        ev.flag != 0,
+                    ),
                     _ => {
                         // EV_BODY
                         let ai = ev.arr as usize;
-                        let ord = ev.x as usize;
-                        executed_base += 1;
-                        pos_base[sm] += 1;
-                        let base = pos_base[sm];
-                        for lane in lanes.iter_mut() {
-                            let si = lane.space_of[ai] as usize;
-                            let memo = memo_slots[ai * 5 + si].get_or_insert_with(|| {
-                                self.get_memo(ArrayId(ev.arr), MemorySpace::ALL[si], skel.bases[ai])
-                            });
-                            let pos = base + lane.sm_pos[sm];
-                            let item = memo.items[ord];
-                            match item.kind {
-                                MemoKind::Empty => {}
-                                MemoKind::Global => {
-                                    lane.out.global_requests += 1;
-                                    lane.out.global_transactions += u64::from(item.len);
-                                    lane.out.replay_global_divergence += u64::from(item.replays);
-                                    for &t in memo.span(&item) {
-                                        l2_fill(
-                                            &mut lane.l2,
-                                            &mut lane.out,
-                                            t,
-                                            L2Source::Global,
-                                            pos,
-                                            ev.sm as u32,
-                                            item.is_store,
-                                        );
-                                    }
+                        out.executed += 1;
+                        sm_pos[sm] += 1;
+                        let pos = sm_pos[sm];
+                        let memo = memo_slots[ai].get_or_insert_with(|| {
+                            let id = ArrayId(ev.arr);
+                            self.get_memo(id, target.space(id), skel.bases[ai])
+                        });
+                        let item = memo.items[ev.x as usize];
+                        match item.kind {
+                            MemoKind::Empty => {}
+                            MemoKind::Global => {
+                                out.global_requests += 1;
+                                out.global_transactions += u64::from(item.len);
+                                out.replay_global_divergence += u64::from(item.replays);
+                                for &t in memo.span(&item) {
+                                    l2_fill(
+                                        l2,
+                                        out,
+                                        t,
+                                        L2Source::Global,
+                                        pos,
+                                        ev.sm as u32,
+                                        item.is_store,
+                                    );
                                 }
-                                MemoKind::Tex => {
-                                    let (transactions, misses) = lane.tex_caches[sm]
-                                        .access_lines_into(memo.span(&item), &mut lane.missed);
-                                    lane.out.tex_requests += 1;
-                                    lane.out.tex_transactions += u64::from(transactions);
-                                    lane.out.tex_misses += u64::from(misses);
-                                    for line in &lane.missed {
-                                        l2_fill(
-                                            &mut lane.l2,
-                                            &mut lane.out,
-                                            *line,
-                                            L2Source::Texture,
-                                            pos,
-                                            ev.sm as u32,
-                                            false,
-                                        );
-                                    }
+                            }
+                            MemoKind::Tex => {
+                                let (transactions, misses) =
+                                    tex_caches[sm].access_lines_into(memo.span(&item), missed);
+                                out.tex_requests += 1;
+                                out.tex_transactions += u64::from(transactions);
+                                out.tex_misses += u64::from(misses);
+                                for &line in missed.iter() {
+                                    l2_fill(
+                                        l2,
+                                        out,
+                                        line,
+                                        L2Source::Texture,
+                                        pos,
+                                        ev.sm as u32,
+                                        false,
+                                    );
                                 }
-                                MemoKind::Const => {
-                                    let (transactions, misses) = lane.const_caches[sm]
-                                        .access_words_into(memo.span(&item), &mut lane.missed);
-                                    lane.out.const_requests += 1;
-                                    lane.out.const_transactions += u64::from(transactions);
-                                    lane.out.const_misses += u64::from(misses);
-                                    lane.out.replay_const_divergence += u64::from(transactions - 1);
-                                    lane.out.replay_const_miss += u64::from(misses);
-                                    for line in &lane.missed {
-                                        l2_fill(
-                                            &mut lane.l2,
-                                            &mut lane.out,
-                                            *line,
-                                            L2Source::Constant,
-                                            pos,
-                                            ev.sm as u32,
-                                            false,
-                                        );
-                                    }
+                            }
+                            MemoKind::Const => {
+                                let (transactions, misses) =
+                                    const_caches[sm].access_words_into(memo.span(&item), missed);
+                                out.const_requests += 1;
+                                out.const_transactions += u64::from(transactions);
+                                out.const_misses += u64::from(misses);
+                                out.replay_const_divergence += u64::from(transactions - 1);
+                                out.replay_const_miss += u64::from(misses);
+                                for &line in missed.iter() {
+                                    l2_fill(
+                                        l2,
+                                        out,
+                                        line,
+                                        L2Source::Constant,
+                                        pos,
+                                        ev.sm as u32,
+                                        false,
+                                    );
                                 }
                             }
                         }
                     }
                 }
             }
-            for (li, lane) in lanes.iter_mut().enumerate() {
-                lane.out.executed += executed_base;
-                lane.out.l2_transactions = lane.l2.transactions();
-                lane.out.l2_misses = lane.l2.misses();
-                lane.out.l2_writebacks = lane.l2.writebacks();
-                sink(li, &lane.out);
-            }
-        });
-    }
-
-    /// Single-candidate replay: a one-lane batch.
-    fn replay(&self, skel: &Skeleton, target: &PlacementMap) -> TraceAnalysis {
-        let mut out = None;
-        self.replay_batch_with(skel, &[target], |_, a| out = Some(a.clone()));
-        out.expect("one lane")
+            out.l2_transactions = l2.transactions();
+            out.l2_misses = l2.misses();
+            out.l2_writebacks = l2.writebacks();
+            f(out)
+        })
     }
 
     /// Predict `target`'s execution time through the incremental path
@@ -1554,8 +1430,8 @@ impl<'a> Engine<'a> {
         if skel.poisoned {
             return self.exact(target);
         }
-        let analysis = self.replay(skel, target);
         self.count(|s| s.delta_cache_hits += 1);
+        let analysis = self.replay(skel, target, std::mem::take);
         self.predictor
             .predict_prepared(self.profile, analysis, self.st.sample_analysis.as_ref())
     }
@@ -1586,15 +1462,10 @@ impl<'a> Engine<'a> {
 
     /// Evaluate `candidates` in input order (no sort): group them by
     /// shared-memory set, prepare each group's skeleton and memos, then
-    /// feed lane batches to `threads` workers — each batch streams its
-    /// skeleton's event column once for all its lanes. Workers steal
-    /// whole units across skeleton groups; results reassemble by input
-    /// index, so the output is bit-identical for any worker count and
-    /// any lane width. So are the counts of candidates, skeletons,
-    /// rewrites, memo tables and delta hits. The replay counters are
-    /// not: autosized lanes split each group by `threads` (see
-    /// `unit_width`), so `batched_replays`, `lane_width` and
-    /// `events_streamed` move with the worker count.
+    /// hand the candidates, group by group, to `threads` workers, one
+    /// replay each. Results reassemble by input index, so the output
+    /// and every count (candidates, skeletons, rewrites, memo tables,
+    /// delta hits, events streamed) are the same for any worker count.
     pub(crate) fn evaluate_batch(
         &self,
         candidates: &[PlacementMap],
@@ -1615,22 +1486,18 @@ impl<'a> Engine<'a> {
         }
         let skels = self.prepare_groups(candidates, &groups, threads);
         let t0 = Instant::now();
-        let mut units: Vec<(usize, &[usize])> = Vec::new();
-        for (g, (_, members)) in groups.iter().enumerate() {
-            let width = self.unit_width(members.len(), threads);
-            for chunk in members.chunks(width) {
-                units.push((g, chunk));
-            }
-        }
-        let per_unit = hms_stats::par::par_map_threads(threads, &units, |&(g, chunk)| {
-            self.evaluate_unit(&skels[g], candidates, chunk)
+        let jobs: Vec<(usize, &Skeleton)> = groups
+            .iter()
+            .zip(&skels)
+            .flat_map(|((_, members), skel)| members.iter().map(move |&ci| (ci, &**skel)))
+            .collect();
+        let results = hms_stats::par::par_map_threads(threads, &jobs, |&(ci, skel)| {
+            self.evaluate_one(skel, &candidates[ci])
         });
         let mut slots: Vec<Option<Result<f64, HmsError>>> = Vec::new();
         slots.resize_with(candidates.len(), || None);
-        for unit in per_unit {
-            for (ci, r) in unit {
-                slots[ci] = Some(r);
-            }
+        for (&(ci, _), r) in jobs.iter().zip(results) {
+            slots[ci] = Some(r);
         }
         let mut ranked = Vec::with_capacity(candidates.len());
         for (i, slot) in slots.into_iter().enumerate() {
@@ -1647,52 +1514,21 @@ impl<'a> Engine<'a> {
         Ok(ranked)
     }
 
-    /// Evaluate one lane batch: validate each member (the same check
-    /// [`predict`](Self::predict) runs), replay the valid lanes in one
-    /// event-stream pass, and turn each lane's borrowed analysis into
-    /// cycles without cloning it. A poisoned skeleton routes the whole
-    /// unit through the per-candidate exact path.
-    fn evaluate_unit(
-        &self,
-        skel: &Skeleton,
-        candidates: &[PlacementMap],
-        chunk: &[usize],
-    ) -> Vec<(usize, Result<f64, HmsError>)> {
-        let mut out = Vec::with_capacity(chunk.len());
+    /// Predicted cycles of one candidate: validate it (the same check
+    /// [`predict`](Self::predict) runs), then replay it over its
+    /// skeleton and predict from the borrowed analysis without cloning
+    /// it, or take the exact path if the skeleton is poisoned.
+    fn evaluate_one(&self, skel: &Skeleton, pm: &PlacementMap) -> Result<f64, HmsError> {
+        pm.validate(&self.profile.trace.arrays, &self.predictor.cfg)?;
         if skel.poisoned {
-            for &ci in chunk {
-                let pm = &candidates[ci];
-                let r = pm
-                    .validate(&self.profile.trace.arrays, &self.predictor.cfg)
-                    .and_then(|()| self.exact(pm).map(|p| p.cycles));
-                out.push((ci, r));
-            }
-            return out;
+            return self.exact(pm).map(|p| p.cycles);
         }
-        let mut lanes: Vec<&PlacementMap> = Vec::with_capacity(chunk.len());
-        let mut lane_ci: Vec<usize> = Vec::with_capacity(chunk.len());
-        for &ci in chunk {
-            let pm = &candidates[ci];
-            match pm.validate(&self.profile.trace.arrays, &self.predictor.cfg) {
-                Ok(()) => {
-                    lanes.push(pm);
-                    lane_ci.push(ci);
-                }
-                Err(e) => out.push((ci, Err(e))),
-            }
-        }
-        if lanes.is_empty() {
-            return out;
-        }
-        self.count(|s| s.delta_cache_hits += lanes.len() as u64);
-        self.replay_batch_with(skel, &lanes, |li, analysis| {
-            let r = self
-                .predictor
+        self.count(|s| s.delta_cache_hits += 1);
+        self.replay(skel, pm, |analysis| {
+            self.predictor
                 .predict_parts(self.profile, analysis, self.st.sample_analysis.as_ref())
-                .map(|(cycles, ..)| cycles);
-            out.push((lane_ci[li], r));
-        });
-        out
+                .map(|(cycles, ..)| cycles)
+        })
     }
 
     /// Standalone-legal spaces for each array (superset of the jointly

@@ -154,8 +154,8 @@ impl Predictor {
 
     /// [`predict_prepared`](Self::predict_prepared) without taking
     /// ownership of the analysis: returns `(cycles, t_comp, t_mem,
-    /// t_overlap)`. The lane-batched search path predicts straight from
-    /// a borrowed per-lane accumulator, skipping the per-candidate
+    /// t_overlap)`. The search engine predicts straight from its
+    /// borrowed replay accumulator, skipping the per-candidate
     /// `TraceAnalysis` clone a full [`Prediction`] would need. Every
     /// prediction passes through here, so this is the one place a
     /// non-finite time becomes [`HmsError::NonFinitePrediction`].
@@ -225,9 +225,11 @@ impl Predictor {
     /// Fit the overlap model from profiled training placements, in
     /// place. Training and evaluation sets are disjoint in the harness,
     /// as in the paper (Table IV's lower half trains, upper half
-    /// evaluates).
+    /// evaluates). The training points are built on all cores; they
+    /// come back in input order, so the fit does not depend on the
+    /// worker count.
     pub fn train(&mut self, training: &[Profile]) -> Result<(), HmsError> {
-        let points: Vec<TrainingPoint> = training.iter().map(|p| self.training_point(p)).collect();
+        let points = hms_stats::par::par_map_threads(0, training, |p| self.training_point(p));
         self.overlap = ToverlapModel::fit(&points)?;
         Ok(())
     }
@@ -327,6 +329,40 @@ mod tests {
             .predict(&profile, &target)
             .unwrap();
         assert!(full.cycles != base.cycles);
+    }
+
+    #[test]
+    fn parallel_training_fits_the_sequential_points() {
+        let cfg = cfg();
+        let mut profiles = Vec::new();
+        for kt in [
+            vecadd::build(Scale::Test),
+            convolution::build_rows(Scale::Test),
+            hms_kernels::md::build(Scale::Test),
+        ] {
+            let g = kt.default_placement();
+            for (id, _) in g.iter() {
+                for space in [MemorySpace::Global, MemorySpace::Texture1D] {
+                    let pm = g.with(id, space);
+                    if pm.validate(&kt.arrays, &cfg).is_ok() {
+                        profiles.push(profile_sample(&kt, &pm, &cfg).unwrap());
+                    }
+                }
+            }
+        }
+        let mut predictor = Predictor::new(cfg);
+        let points: Vec<TrainingPoint> = profiles
+            .iter()
+            .map(|p| predictor.training_point(p))
+            .collect();
+        let sequential = ToverlapModel::fit(&points).unwrap();
+        predictor.train(&profiles).unwrap();
+        // `Debug` prints every field, floats in round-trip form, so equal
+        // strings mean equal fields bit for bit.
+        assert_eq!(
+            format!("{:?}", predictor.overlap),
+            format!("{sequential:?}")
+        );
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl Histogram {
 /// the cumulative [`EngineStats`] each one reads. Deterministic fields
 /// only — wall-clock nanos stay out of the exposition so warm-cache
 /// assertions can compare exact values.
-const ENGINE_COUNTERS: [(&str, &str, fn(&EngineStats) -> u64); 12] = [
+const ENGINE_COUNTERS: [(&str, &str, fn(&EngineStats) -> u64); 11] = [
     (
         "hms_engine_full_rewrites_total",
         "Whole-trace rewrite+analyze runs across all searches.",
@@ -156,13 +156,8 @@ const ENGINE_COUNTERS: [(&str, &str, fn(&EngineStats) -> u64); 12] = [
         |s| s.skeleton_disk_tmp_swept,
     ),
     (
-        "hms_engine_batched_replays_total",
-        "Event-major lane-batched replay passes.",
-        |s| s.batched_replays,
-    ),
-    (
         "hms_engine_events_streamed_total",
-        "Skeleton events streamed by batched replays.",
+        "Skeleton events streamed by replays.",
         |s| s.events_streamed,
     ),
 ];
@@ -454,13 +449,6 @@ impl Metrics {
         }
         g(
             &mut out,
-            "hms_engine_lane_width",
-            "Peak replay lane width observed across all searches.",
-            "gauge",
-        );
-        out.push_str(&format!("hms_engine_lane_width {}\n", engine.lane_width));
-        g(
-            &mut out,
             "hms_engine_gap_upper_bound",
             "Reported optimality-gap upper bound of the most recent anytime search.",
             "gauge",
@@ -536,29 +524,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_counters_accumulate_and_lane_width_is_peak() {
+    fn events_streamed_accumulates() {
         let m = Metrics::new();
-        let wide = EngineStats {
-            batched_replays: 3,
-            lane_width: 16,
-            events_streamed: 900,
-            ..EngineStats::default()
-        };
-        let narrow = EngineStats {
-            batched_replays: 1,
-            lane_width: 2,
-            events_streamed: 100,
-            ..EngineStats::default()
-        };
-        m.on_engine_stats(&wide);
-        m.on_engine_stats(&narrow);
+        for events_streamed in [900, 100] {
+            m.on_engine_stats(&EngineStats {
+                events_streamed,
+                ..EngineStats::default()
+            });
+        }
         let text = m.render();
-        assert!(text.contains("hms_engine_batched_replays_total 4"));
         assert!(text.contains("hms_engine_events_streamed_total 1000"));
-        // High-water gauge: the narrower follow-up search must not
-        // lower it.
-        assert!(text.contains("hms_engine_lane_width 16"));
-        assert!(text.contains("# TYPE hms_engine_lane_width gauge"));
     }
 
     #[test]
@@ -594,7 +569,7 @@ mod tests {
 
     /// The whole `hms_engine_*` exposition — names, HELP, TYPE, order
     /// and values — after folding a fixed mix of exact and anytime
-    /// searches at different lane widths.
+    /// searches.
     #[test]
     fn engine_block_exposition_is_golden() {
         let m = Metrics::new();
@@ -613,8 +588,6 @@ mod tests {
             candidates_evaluated: 64,
             candidates_visited: 99,
             gap_upper_bound: 0.5,
-            batched_replays: 5,
-            lane_width: 16,
             events_streamed: 1000,
             prepare_nanos: 123,
             evaluate_nanos: 456,
@@ -628,8 +601,6 @@ mod tests {
             candidates_evaluated: 21,
             candidates_visited: 40,
             gap_upper_bound: 0.125,
-            batched_replays: 2,
-            lane_width: 4,
             events_streamed: 300,
             ..EngineStats::default()
         };
@@ -639,8 +610,6 @@ mod tests {
             candidates_evaluated: 11,
             candidates_visited: 11,
             gap_upper_bound: 0.0625,
-            batched_replays: 11,
-            lane_width: 64,
             events_streamed: 700,
             ..EngineStats::default()
         };
@@ -652,8 +621,6 @@ mod tests {
             candidates_evaluated: 5,
             candidates_visited: 3,
             gap_upper_bound: 0.9,
-            batched_replays: 1,
-            lane_width: 2,
             events_streamed: 50,
             ..EngineStats::default()
         };
@@ -693,15 +660,9 @@ hms_engine_skeleton_disk_writes_total 1
 # HELP hms_engine_skeleton_tmp_swept_total Stale skeleton temp files swept at cache open.
 # TYPE hms_engine_skeleton_tmp_swept_total counter
 hms_engine_skeleton_tmp_swept_total 1
-# HELP hms_engine_batched_replays_total Event-major lane-batched replay passes.
-# TYPE hms_engine_batched_replays_total counter
-hms_engine_batched_replays_total 19
-# HELP hms_engine_events_streamed_total Skeleton events streamed by batched replays.
+# HELP hms_engine_events_streamed_total Skeleton events streamed by replays.
 # TYPE hms_engine_events_streamed_total counter
 hms_engine_events_streamed_total 2050
-# HELP hms_engine_lane_width Peak replay lane width observed across all searches.
-# TYPE hms_engine_lane_width gauge
-hms_engine_lane_width 64
 # HELP hms_engine_gap_upper_bound Reported optimality-gap upper bound of the most recent anytime search.
 # TYPE hms_engine_gap_upper_bound gauge
 hms_engine_gap_upper_bound 0.0625";

@@ -3,8 +3,9 @@
 //! Replaces `rayon` in the experiment harness and the placement search:
 //! the workspace's hot paths are embarrassingly parallel maps over
 //! independent, coarse items (suite simulations, skeleton builds or
-//! loads, lane batches of candidates, full naive predictions), so a
-//! work-stealing scoped pool covers them without any external crate.
+//! loads, candidate replays, training points, full naive
+//! predictions), so a work-stealing scoped pool covers them without any
+//! external crate.
 //!
 //! Design:
 //!

@@ -67,8 +67,8 @@ bench_num() {
 # over the five search kernels at Full scale, skeletons read from disk).
 # Work: one traced run does a fixed amount of work, so its counts repeat
 # exactly for a seed; each must stay at or under the committed value.
-# The replay counters (events streamed, batched replays, lane width)
-# are not gated: they move with the worker count. Time: the median
+# Every candidate is one replay, so the skeleton events the replays
+# stream repeat exactly too, at any worker count. Time: the median
 # candidates/s of nine untraced runs of 2 s each must stay within 20%
 # of the committed value.
 echo "==> search gate (advisorbench search-warm, BENCH_search.json)"
@@ -90,7 +90,7 @@ ab_check() {
     }
 }
 work_keys="engine.skeletons_built engine.full_rewrites engine.memo_tables_built
-    engine.delta_cache_hits strategy.exhaustive.candidates_evaluated
+    engine.delta_cache_hits engine.events_streamed strategy.exhaustive.candidates_evaluated
     strategy.branch_and_bound.candidates_evaluated strategy.beam.candidates_evaluated
     strategy.successive_halving.candidates_evaluated strategy.local_search.candidates_evaluated"
 traced="$fresh/search-warm-trace.json"

@@ -12,10 +12,9 @@ use hms_kernels::{registry, Scale};
 
 /// One search outcome, reduced to exactly-comparable form: the best
 /// placement, the bit pattern of every ranked prediction, and the
-/// engine's work counts that do not depend on the worker count (the
-/// counts the CI search gate holds at their committed values). The
-/// replay counters (`batched_replays`, `lane_width`, `events_streamed`)
-/// are left out: autosized lanes split by worker count.
+/// engine's work counts (the counts the CI search gate holds at their
+/// committed values). Each candidate is one replay, so every count,
+/// `events_streamed` included, is independent of the worker count.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     kernel: &'static str,
@@ -26,6 +25,7 @@ struct Outcome {
     memo_tables_built: u64,
     delta_cache_hits: u64,
     candidates_evaluated: u64,
+    events_streamed: u64,
 }
 
 fn search_all(threads: usize, limit: usize) -> Vec<Outcome> {
@@ -56,6 +56,7 @@ fn search_all(threads: usize, limit: usize) -> Vec<Outcome> {
                 memo_tables_built: stats.memo_tables_built,
                 delta_cache_hits: stats.delta_cache_hits,
                 candidates_evaluated: stats.candidates_evaluated,
+                events_streamed: stats.events_streamed,
             }
         })
         .collect()
@@ -80,7 +81,7 @@ fn predictor_and_search_are_bit_deterministic() {
 
 /// The engine's deterministic work counts for one search, in the order
 /// of [`GOLDEN_WORK`]'s columns.
-type Work = [u64; 10];
+type Work = [u64; 11];
 
 fn work(s: &EngineStats) -> Work {
     [
@@ -94,6 +95,7 @@ fn work(s: &EngineStats) -> Work {
         s.exact_fallbacks,
         s.skeleton_disk_hits,
         s.skeleton_disk_misses,
+        s.events_streamed,
     ]
 }
 
@@ -101,21 +103,21 @@ fn work(s: &EngineStats) -> Work {
 /// an empty skeleton cache (cold) and then over the one it filled
 /// (warm). Columns: candidates enumerated, evaluated and visited,
 /// skeletons built, full rewrites, memo tables, delta hits, exact
-/// fallbacks, disk hits, disk misses.
+/// fallbacks, disk hits, disk misses, events streamed.
 #[rustfmt::skip]
 const GOLDEN_WORK: [(&str, Work, Work); 4] = [
     ("exhaustive",
-     [4096, 4096, 0, 64, 64, 27, 4096, 0, 0, 64],
-     [4096, 4096, 0, 0, 0, 27, 4096, 0, 64, 0]),
+     [4096, 4096, 0, 64, 64, 27, 4096, 0, 0, 64, 369566],
+     [4096, 4096, 0, 0, 0, 27, 4096, 0, 64, 0, 363036]),
     ("beam",
-     [8, 8, 216, 5, 5, 15, 8, 0, 0, 5],
-     [8, 8, 216, 0, 0, 15, 8, 0, 5, 0]),
+     [8, 8, 216, 5, 5, 15, 8, 0, 0, 5, 1186],
+     [8, 8, 216, 0, 0, 15, 8, 0, 5, 0, 728]),
     ("halving",
-     [4096, 927, 4096, 64, 64, 27, 927, 0, 0, 64],
-     [4096, 927, 4096, 0, 0, 27, 927, 0, 64, 0]),
+     [4096, 927, 4096, 64, 64, 27, 927, 0, 0, 64, 75716],
+     [4096, 927, 4096, 0, 0, 27, 927, 0, 64, 0, 69186]),
     ("local",
-     [307, 307, 384, 61, 61, 33, 307, 0, 0, 61],
-     [307, 307, 384, 0, 0, 33, 307, 0, 61, 0]),
+     [307, 307, 384, 61, 61, 33, 307, 0, 0, 61, 30716],
+     [307, 307, 384, 0, 0, 33, 307, 0, 61, 0, 24732]),
 ];
 
 /// Every count the engine keeps is pinned both ways: the CI work gate

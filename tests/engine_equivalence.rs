@@ -124,13 +124,13 @@ fn engine_prediction_matches_naive_on_random_placements() {
     );
 }
 
-/// Property: the event-major lane-batched replay is bit-identical to
-/// the naive path for random kernels at every lane width and worker
-/// count — including the poisoned-skeleton case, where every candidate
-/// must route through the exact per-candidate fallback instead of a
-/// lane batch and still rank identically.
+/// Property: the one-candidate skeleton replay is bit-identical to the
+/// naive path for random kernels at every worker count — including the
+/// poisoned-skeleton case, where every candidate must route through the
+/// exact per-candidate fallback instead of a replay and still rank
+/// identically.
 #[test]
-fn batched_replay_is_bit_identical_across_lane_widths_and_workers() {
+fn replay_is_bit_identical_across_workers() {
     let cfg = GpuConfig::test_small();
     let setups: Vec<_> = registry()
         .iter()
@@ -147,58 +147,45 @@ fn batched_replay_is_bit_identical_across_lane_widths_and_workers() {
         .collect();
     let predictor = Predictor::new(cfg.clone());
     check(
-        "batched_replay_matches_naive",
+        "replay_matches_naive",
         &Config::with_cases(24),
         |rng| {
             let k = rng.gen_range(0u64..setups.len() as u64) as usize;
-            let width = [1u64, 2, 7, 64][rng.gen_range(0..4) as usize];
             let threads = [1usize, 2, 8][rng.gen_range(0..3) as usize];
             let poison = rng.gen_range(0..4) == 0;
-            (k, width, threads, poison)
+            (k, threads, poison)
         },
-        |&(k, width, threads, poison)| {
+        |&(k, threads, poison)| {
             let (name, profile, space, naive) = &setups[k];
             // Fresh engine per case: the skeleton cache must not leak a
             // (possibly poisoned) skeleton across cases.
             let engine = Engine::new(&predictor, profile);
-            engine.set_lane_width(width);
             engine.inject_poison(poison);
             let ranked = engine.rank(space, threads).map_err(|e| e.to_string())?;
             if bits(naive) != bits(&ranked) {
                 return Err(format!(
-                    "{name}: batched ranking diverged from naive \
-                     (lane_width={width}, threads={threads}, poison={poison})"
+                    "{name}: ranking diverged from naive (threads={threads}, poison={poison})"
                 ));
             }
             let stats = engine.stats();
+            let n = space.len() as u64;
             if poison {
-                if stats.exact_fallbacks != space.len() as u64 {
+                if stats.exact_fallbacks != n || stats.events_streamed != 0 {
                     return Err(format!(
-                        "{name}: poisoned skeleton fell back {} of {} times",
-                        stats.exact_fallbacks,
-                        space.len()
+                        "{name}: poisoned skeleton fell back {} of {n} times and \
+                         streamed {} events",
+                        stats.exact_fallbacks, stats.events_streamed
                     ));
                 }
-                if stats.batched_replays != 0 {
-                    return Err(format!(
-                        "{name}: poisoned skeleton still took the batched path"
-                    ));
-                }
-            } else {
-                if stats.exact_fallbacks != 0 {
-                    return Err(format!("{name}: healthy skeleton fell back"));
-                }
-                if stats.batched_replays == 0 || stats.events_streamed == 0 {
-                    return Err(format!(
-                        "{name}: healthy batch left the batched-replay counters at zero"
-                    ));
-                }
-                if stats.lane_width == 0 || stats.lane_width > width {
-                    return Err(format!(
-                        "{name}: peak lane width {} outside 1..={width}",
-                        stats.lane_width
-                    ));
-                }
+            } else if stats.exact_fallbacks != 0
+                || stats.delta_cache_hits != n
+                || stats.events_streamed == 0
+            {
+                return Err(format!(
+                    "{name}: healthy skeleton replayed {} of {n} candidates, \
+                     fell back {} times and streamed {} events",
+                    stats.delta_cache_hits, stats.exact_fallbacks, stats.events_streamed
+                ));
             }
             Ok(())
         },
